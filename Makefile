@@ -21,7 +21,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/sim/ ./internal/experiment/ ./internal/station/ ./internal/fleet/
+	$(GO) test -race ./internal/sim/ ./internal/experiment/ ./internal/station/ ./internal/fleet/ \
+		./internal/telemetry/ ./internal/trace/ ./internal/chaos/ ./internal/attack/ ./internal/mac/ ./internal/radio/
 	$(GO) test -race -run 'Deputy|Takeover|HeadCrash|Churn|CrashRecover|Failover' ./internal/core/
 
 ## f17-smoke: quick pass over the degraded-recovery ablation — fails if the

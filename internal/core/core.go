@@ -256,9 +256,7 @@ type Protocol struct {
 	orphansRejoined int  // members re-adopted into neighbouring clusters
 	inRepair        bool // the cross-round repair window is open (Join semantics)
 
-	startBytes int
-	startMsgs  int
-	startApp   int
+	start metrics.Traffic // recorder totals at round start
 
 	// comps, when non-nil, holds the active query's additive components;
 	// the round then aggregates the whole component vector at once
@@ -481,25 +479,7 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 			takeoverBy:    -1,
 		}
 	}
-	p.bsSums = growElems(p.bsSums, p.nComponents())
-	for k := range p.bsSums {
-		p.bsSums[k] = 0
-	}
-	p.bsCount = 0
-	if p.bsAlarms == nil {
-		p.bsAlarms = make(map[string]message.Alarm)
-	} else {
-		clear(p.bsAlarms)
-	}
-	p.alarmsRaised = 0
-	p.degradedClusters = 0
-	p.failedClusters = 0
-	p.takeovers = 0
-	p.promotions = 0
-	p.orphansRejoined = 0
-	p.startBytes = p.env.Rec.TotalTxBytes()
-	p.startMsgs = p.env.Rec.TotalTxMessages()
-	p.startApp = p.env.Rec.AppMessages()
+	p.beginRound()
 
 	for i := 0; i < n; i++ {
 		id := topo.NodeID(i)
@@ -532,6 +512,29 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	return p.result(), nil
 }
 
+// beginRound zeroes the base-station tallies and per-round counters and
+// takes the round's traffic baseline. Every buffer is reused, so it stays
+// allocation-free in steady state.
+func (p *Protocol) beginRound() {
+	p.bsSums = growElems(p.bsSums, p.nComponents())
+	for k := range p.bsSums {
+		p.bsSums[k] = 0
+	}
+	p.bsCount = 0
+	if p.bsAlarms == nil {
+		p.bsAlarms = make(map[string]message.Alarm)
+	} else {
+		clear(p.bsAlarms)
+	}
+	p.alarmsRaised = 0
+	p.degradedClusters = 0
+	p.failedClusters = 0
+	p.takeovers = 0
+	p.promotions = 0
+	p.orphansRejoined = 0
+	p.start = p.env.Rec.Traffic()
+}
+
 func (p *Protocol) result() metrics.RoundResult {
 	n := p.env.Net.Size()
 	covered := 0
@@ -546,6 +549,7 @@ func (p *Protocol) result() metrics.RoundResult {
 	reported := p.bsSums[0].Int()
 	cnt := int64(p.bsCount)
 	accepted := len(p.bsAlarms) == 0 && cnt <= p.env.TrueCount()
+	traffic := p.env.Rec.Traffic().Sub(p.start)
 	return metrics.RoundResult{
 		Protocol:         "icpda",
 		TrueSum:          p.env.TrueSum(),
@@ -561,9 +565,9 @@ func (p *Protocol) result() metrics.RoundResult {
 		Takeovers:        p.takeovers,
 		Promotions:       p.promotions,
 		OrphansRejoined:  p.orphansRejoined,
-		TxBytes:          p.env.Rec.TotalTxBytes() - p.startBytes,
-		TxMessages:       p.env.Rec.TotalTxMessages() - p.startMsgs,
-		AppMessages:      p.env.Rec.AppMessages() - p.startApp,
+		TxBytes:          traffic.TxBytes,
+		TxMessages:       traffic.TxMessages,
+		AppMessages:      traffic.AppMessages,
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/topo"
 )
@@ -59,25 +58,7 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 			st.headSilent = false // nothing will consume the flag; drop it
 		}
 	}
-	p.bsSums = growElems(p.bsSums, p.nComponents())
-	for k := range p.bsSums {
-		p.bsSums[k] = 0
-	}
-	p.bsCount = 0
-	if p.bsAlarms == nil {
-		p.bsAlarms = make(map[string]message.Alarm)
-	} else {
-		clear(p.bsAlarms)
-	}
-	p.alarmsRaised = 0
-	p.degradedClusters = 0
-	p.failedClusters = 0
-	p.takeovers = 0
-	p.promotions = 0
-	p.orphansRejoined = 0
-	p.startBytes = p.env.Rec.TotalTxBytes()
-	p.startMsgs = p.env.Rec.TotalTxMessages()
-	p.startApp = p.env.Rec.AppMessages()
+	p.beginRound()
 
 	base := p.cfg.SharesAt
 	var offset time.Duration
@@ -102,6 +83,18 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 		return metrics.RoundResult{}, fmt.Errorf("core: %w", err)
 	}
 	return p.result(), nil
+}
+
+// RunEpoch executes one measurement epoch of steady-state operation: round 1
+// forms clusters (Run); every later round re-samples each sensor's reading
+// and re-runs the privacy and integrity phases on the retained structure
+// (RunRetaining).
+func (p *Protocol) RunEpoch(round uint16) (metrics.RoundResult, error) {
+	if round == 1 {
+		return p.Run(round)
+	}
+	p.env.ResampleReadings()
+	return p.RunRetaining(round)
 }
 
 // Heads returns the cluster heads elected in the last Run, in ascending ID

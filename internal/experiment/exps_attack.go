@@ -21,7 +21,7 @@ func campaignTrial(n int, seed int64, rounds int, policies ...attack.Policy) (at
 	if err != nil {
 		return attack.Report{}, false, err
 	}
-	_, dry, err := runCoreEnv(env, nil)
+	_, dry, err := runCore(env, nil)
 	if err != nil {
 		return attack.Report{}, false, err
 	}
@@ -46,25 +46,11 @@ func campaignTrial(n int, seed int64, rounds int, policies ...attack.Policy) (at
 	defer env.MAC.SetTap(nil)
 	for r := 1; r <= rounds; r++ {
 		camp.BeginRound(uint16(r))
-		var res = struct {
-			accepted bool
-			cnt, tc  int64
-		}{}
-		if r == 1 {
-			rr, err := p.Run(uint16(r))
-			if err != nil {
-				return attack.Report{}, false, err
-			}
-			res.accepted, res.cnt, res.tc = rr.Accepted, rr.ReportedCnt, rr.TrueCount
-		} else {
-			env.ResampleReadings()
-			rr, err := p.RunRetaining(uint16(r))
-			if err != nil {
-				return attack.Report{}, false, err
-			}
-			res.accepted, res.cnt, res.tc = rr.Accepted, rr.ReportedCnt, rr.TrueCount
+		res, err := p.RunEpoch(uint16(r))
+		if err != nil {
+			return attack.Report{}, false, err
 		}
-		camp.EndRound(attack.RoundStats{Accepted: res.accepted, ReportedCnt: res.cnt, TrueCount: res.tc})
+		camp.EndRound(attack.RoundStats{Accepted: res.Accepted, ReportedCnt: res.ReportedCnt, TrueCount: res.TrueCount})
 	}
 	return camp.Report(), true, nil
 }
@@ -98,10 +84,10 @@ var _ = register(Experiment{
 		for _, px := range pxs {
 			px := px
 			type sample struct {
-				ok                  bool
-				attempts, breaches  float64
-				m                   float64
-				analytic            float64
+				ok                 bool
+				attempts, breaches float64
+				m                  float64
+				analytic           float64
 			}
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
@@ -157,7 +143,11 @@ var _ = register(Experiment{
 // roster it implies is a round-1 structural property, so a fresh dry run at
 // the same seed reproduces it exactly.
 func mClusterOf(seed int64, n int, pol *attack.Collusion) int {
-	_, dry, err := runCore(n, seed, false, nil)
+	env, err := wsn.NewEnv(envConfig(n, seed, false))
+	if err != nil {
+		return 0
+	}
+	_, dry, err := runCore(env, nil)
 	if err != nil {
 		return 0
 	}

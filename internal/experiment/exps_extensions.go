@@ -37,7 +37,7 @@ var _ = register(Experiment{
 				if err != nil {
 					return nil, err
 				}
-				_, dry, err := runCoreEnv(env, nil)
+				_, dry, err := runCore(env, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -60,7 +60,7 @@ var _ = register(Experiment{
 				if err := env.Reset(seed); err != nil {
 					return nil, err
 				}
-				r, _, err := runCoreEnv(env, func(c *core.Config) {
+				r, _, err := runCore(env, func(c *core.Config) {
 					c.Polluter = polluter
 					c.PollutionDelta = 9999
 					c.Target = core.PolluteOwnSum
@@ -109,7 +109,7 @@ var _ = register(Experiment{
 				if err != nil {
 					return nil, err
 				}
-				if _, err := runTAGOn(env); err != nil {
+				if _, err := runTAG(env); err != nil {
 					return nil, err
 				}
 				repT, err := model.Audit(env.Rec, n)
@@ -123,7 +123,7 @@ var _ = register(Experiment{
 				if err := env.Reset(seed); err != nil {
 					return nil, err
 				}
-				if _, err := runCoreOn(env); err != nil {
+				if _, _, err := runCore(env, nil); err != nil {
 					return nil, err
 				}
 				repC, err := model.Audit(env.Rec, n)
@@ -168,7 +168,11 @@ var _ = register(Experiment{
 			rejected := 0
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				r, _, err := runCore(n, seed, false, func(c *core.Config) { c.CrashRate = rate })
+				env, err := wsn.NewEnv(envConfig(n, seed, false))
+				if err != nil {
+					return nil, err
+				}
+				r, _, err := runCore(env, func(c *core.Config) { c.CrashRate = rate })
 				if err != nil {
 					return nil, err
 				}
@@ -203,7 +207,7 @@ var _ = register(Experiment{
 			if err != nil {
 				return nil, err
 			}
-			if _, err := runCoreOn(env); err != nil {
+			if _, _, err := runCore(env, nil); err != nil {
 				return nil, err
 			}
 			for kind, b := range env.Rec.BytesByKind() {
@@ -260,7 +264,11 @@ var _ = register(Experiment{
 			var extra float64
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				tagRes, err := runTAG(n, seed, false)
+				env, err := wsn.NewEnv(envConfig(n, seed, false))
+				if err != nil {
+					return nil, err
+				}
+				tagRes, err := runTAG(env)
 				if err != nil {
 					return nil, err
 				}
@@ -276,7 +284,10 @@ var _ = register(Experiment{
 					if det {
 						detected++
 					}
-					rc, _, err := runCore(n, seed, false, nil)
+					if err := env.Reset(seed); err != nil {
+						return nil, err
+					}
+					rc, _, err := runCore(env, nil)
 					if err != nil {
 						return nil, err
 					}
@@ -334,7 +345,7 @@ var _ = register(Experiment{
 				if err != nil {
 					return nil, err
 				}
-				rt, err := runTAGOn(env)
+				rt, err := runTAG(env)
 				if err != nil {
 					return nil, err
 				}
@@ -342,7 +353,7 @@ var _ = register(Experiment{
 				if err := env.Reset(seed); err != nil {
 					return nil, err
 				}
-				rc, err := runCoreOn(env)
+				rc, _, err := runCore(env, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -382,7 +393,11 @@ var _ = register(Experiment{
 			var bytes, acc float64
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				r, _, err := runCore(n, seed, false, func(c *core.Config) { c.NoWitness = noWitness })
+				env, err := wsn.NewEnv(envConfig(n, seed, false))
+				if err != nil {
+					return nil, err
+				}
+				r, _, err := runCore(env, func(c *core.Config) { c.NoWitness = noWitness })
 				if err != nil {
 					return nil, err
 				}

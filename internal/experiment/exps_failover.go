@@ -48,7 +48,7 @@ var _ = register(Experiment{
 					if err != nil {
 						return nil, err
 					}
-					results, err := runCoreRounds(env, p, rounds)
+					results, err := runCoreRounds(p, rounds)
 					if err != nil {
 						return nil, err
 					}
@@ -96,17 +96,10 @@ func coreFailoverConfig(rate float64, noFailover bool) core.Config {
 
 // runCoreRounds drives a multi-round aggregation: one full Run, then
 // retained rounds on the surviving structure with fresh readings.
-func runCoreRounds(env *wsn.Env, p *core.Protocol, rounds int) ([]metrics.RoundResult, error) {
+func runCoreRounds(p *core.Protocol, rounds int) ([]metrics.RoundResult, error) {
 	out := make([]metrics.RoundResult, 0, rounds)
 	for r := 1; r <= rounds; r++ {
-		var res metrics.RoundResult
-		var err error
-		if r == 1 {
-			res, err = p.Run(uint16(r))
-		} else {
-			env.ResampleReadings()
-			res, err = p.RunRetaining(uint16(r))
-		}
+		res, err := p.RunEpoch(uint16(r))
 		if err != nil {
 			return nil, err
 		}

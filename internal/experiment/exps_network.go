@@ -57,8 +57,11 @@ var _ = register(Experiment{
 		for _, pc := range pcs {
 			var heads, size, viable, coverage float64
 			for t := 0; t < trials; t++ {
-				_, p, err := runCore(n, trialSeed(cfg.Seed, n, t), false,
-					func(c *core.Config) { c.Pc = pc })
+				env, err := wsn.NewEnv(envConfig(n, trialSeed(cfg.Seed, n, t), false))
+				if err != nil {
+					return nil, err
+				}
+				_, p, err := runCore(env, func(c *core.Config) { c.Pc = pc })
 				if err != nil {
 					return nil, err
 				}
@@ -107,15 +110,26 @@ var _ = register(Experiment{
 			type sample struct{ cc, cp, ic, ip, tc float64 }
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
-				r1, _, err := runCore(n, seed, false, nil)
+				// Reset replays the trial seed for each protocol's turn.
+				env, err := wsn.NewEnv(envConfig(n, seed, false))
 				if err != nil {
 					return sample{}, err
 				}
-				r2, _, err := runIPDA(n, seed, false, nil)
+				r1, _, err := runCore(env, nil)
 				if err != nil {
 					return sample{}, err
 				}
-				r3, err := runTAG(n, seed, false)
+				if err := env.Reset(seed); err != nil {
+					return sample{}, err
+				}
+				r2, _, err := runIPDA(env, nil)
+				if err != nil {
+					return sample{}, err
+				}
+				if err := env.Reset(seed); err != nil {
+					return sample{}, err
+				}
+				r3, err := runTAG(env)
 				if err != nil {
 					return sample{}, err
 				}

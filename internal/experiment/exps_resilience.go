@@ -41,7 +41,7 @@ var _ = register(Experiment{
 					if err != nil {
 						return nil, err
 					}
-					r, _, err := runCoreEnv(env, func(c *core.Config) { c.NoDegrade = noDegrade })
+					r, _, err := runCore(env, func(c *core.Config) { c.NoDegrade = noDegrade })
 					if err != nil {
 						return nil, err
 					}

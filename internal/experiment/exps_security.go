@@ -161,7 +161,7 @@ func pollutionTrial(n int, seed int64, delta int64, target core.PollutionTarget)
 	if err != nil {
 		return false, false, err
 	}
-	_, dry, err := runCoreEnv(env, nil)
+	_, dry, err := runCore(env, nil)
 	if err != nil {
 		return false, false, err
 	}
@@ -173,7 +173,7 @@ func pollutionTrial(n int, seed int64, delta int64, target core.PollutionTarget)
 		return false, false, err
 	}
 	var attacker topo.NodeID = polluter
-	r, _, err := runCoreEnv(env, func(c *core.Config) {
+	r, _, err := runCore(env, func(c *core.Config) {
 		c.Polluter = attacker
 		c.PollutionDelta = delta
 		c.Target = target
@@ -207,7 +207,11 @@ var _ = register(Experiment{
 			}
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
-				_, dry, err := runCore(n, seed, false, nil)
+				env, err := wsn.NewEnv(envConfig(n, seed, false))
+				if err != nil {
+					return sample{}, err
+				}
+				_, dry, err := runCore(env, nil)
 				if err != nil {
 					return sample{}, err
 				}
@@ -215,11 +219,15 @@ var _ = register(Experiment{
 				if polluter < 0 {
 					return sample{}, nil
 				}
-				_, p, err := runCoreNoRun(n, seed, func(c *core.Config) {
-					c.Polluter = polluter
-					c.PollutionDelta = 12345
-					c.Target = core.PolluteOwnSum
-				})
+				env, err = wsn.NewEnv(envConfig(n, seed, false))
+				if err != nil {
+					return sample{}, err
+				}
+				pcfg := core.DefaultConfig()
+				pcfg.Polluter = polluter
+				pcfg.PollutionDelta = 12345
+				pcfg.Target = core.PolluteOwnSum
+				p, err := core.New(env, pcfg)
 				if err != nil {
 					return sample{}, err
 				}

@@ -1,10 +1,10 @@
 package experiment
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/ipda"
+	"repro/internal/wsn"
 )
 
 // F2: bandwidth consumption vs network size across protocols.
@@ -25,19 +25,33 @@ var _ = register(Experiment{
 			type sample struct{ tag, core, ipda1, ipda2 float64 }
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
-				r, err := runTAG(n, seed, false)
+				// Reset replays the trial seed for each protocol's turn.
+				env, err := wsn.NewEnv(envConfig(n, seed, false))
 				if err != nil {
 					return sample{}, err
 				}
-				rc, _, err := runCore(n, seed, false, nil)
+				r, err := runTAG(env)
 				if err != nil {
 					return sample{}, err
 				}
-				r1, _, err := runIPDA(n, seed, false, func(c *ipda.Config) { c.L = 1 })
+				if err := env.Reset(seed); err != nil {
+					return sample{}, err
+				}
+				rc, _, err := runCore(env, nil)
 				if err != nil {
 					return sample{}, err
 				}
-				r2, _, err := runIPDA(n, seed, false, func(c *ipda.Config) { c.L = 2 })
+				if err := env.Reset(seed); err != nil {
+					return sample{}, err
+				}
+				r1, _, err := runIPDA(env, func(c *ipda.Config) { c.L = 1 })
+				if err != nil {
+					return sample{}, err
+				}
+				if err := env.Reset(seed); err != nil {
+					return sample{}, err
+				}
+				r2, _, err := runIPDA(env, func(c *ipda.Config) { c.L = 2 })
 				if err != nil {
 					return sample{}, err
 				}
@@ -85,15 +99,26 @@ var _ = register(Experiment{
 			type sample struct{ ta, ca, ia float64 }
 			samples, err := collectTrials(trials, func(t int) (sample, error) {
 				seed := trialSeed(cfg.Seed, n, t)
-				r, err := runTAG(n, seed, true)
+				// Reset replays the trial seed for each protocol's turn.
+				env, err := wsn.NewEnv(envConfig(n, seed, true))
 				if err != nil {
 					return sample{}, err
 				}
-				rc, _, err := runCore(n, seed, true, nil)
+				r, err := runTAG(env)
 				if err != nil {
 					return sample{}, err
 				}
-				ri, _, err := runIPDA(n, seed, true, nil)
+				if err := env.Reset(seed); err != nil {
+					return sample{}, err
+				}
+				rc, _, err := runCore(env, nil)
+				if err != nil {
+					return sample{}, err
+				}
+				if err := env.Reset(seed); err != nil {
+					return sample{}, err
+				}
+				ri, _, err := runIPDA(env, nil)
 				if err != nil {
 					return sample{}, err
 				}
@@ -134,7 +159,11 @@ var _ = register(Experiment{
 			falseAlarms := 0
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				_, p, err := runIPDA(n, seed, true, nil)
+				env, err := wsn.NewEnv(envConfig(n, seed, true))
+				if err != nil {
+					return nil, err
+				}
+				_, p, err := runIPDA(env, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -144,7 +173,10 @@ var _ = register(Experiment{
 				if diff > maxDiff {
 					maxDiff = diff
 				}
-				rc, _, err := runCore(n, seed, true, nil)
+				if err := env.Reset(seed); err != nil {
+					return nil, err
+				}
+				rc, _, err := runCore(env, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -176,21 +208,28 @@ var _ = register(Experiment{
 		}
 		type schemeRow struct {
 			name string
-			mut  func(cfgW *wsnConfigProxy)
+			mut  func(*wsn.Config)
+		}
+		eg := func(pool, ring int) func(*wsn.Config) {
+			return func(c *wsn.Config) { c.KeyScheme, c.EGPoolSize, c.EGRingSize = wsn.KeyEG, pool, ring }
 		}
 		schemes := []schemeRow{
-			{"pairwise", func(w *wsnConfigProxy) {}},
-			{"eg-1000-60", func(w *wsnConfigProxy) { w.eg = true; w.pool = 1000; w.ring = 60 }},
-			{"eg-1000-30", func(w *wsnConfigProxy) { w.eg = true; w.pool = 1000; w.ring = 30 }},
+			{"pairwise", func(*wsn.Config) {}},
+			{"eg-1000-60", eg(1000, 60)},
+			{"eg-1000-30", eg(1000, 30)},
 		}
 		const n = 400
 		for _, s := range schemes {
 			var part, acc float64
 			for t := 0; t < trials; t++ {
 				seed := trialSeed(cfg.Seed, n, t)
-				proxy := wsnConfigProxy{}
-				s.mut(&proxy)
-				r, err := runCoreWithKeys(n, seed, proxy)
+				ecfg := envConfig(n, seed, false)
+				s.mut(&ecfg)
+				env, err := wsn.NewEnv(ecfg)
+				if err != nil {
+					return nil, err
+				}
+				r, _, err := runCore(env, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -203,16 +242,3 @@ var _ = register(Experiment{
 		return res, nil
 	},
 })
-
-// wsnConfigProxy keeps the key-scheme ablation readable.
-type wsnConfigProxy struct {
-	eg         bool
-	pool, ring int
-}
-
-func (w wsnConfigProxy) String() string {
-	if !w.eg {
-		return "pairwise"
-	}
-	return fmt.Sprintf("eg-%d-%d", w.pool, w.ring)
-}

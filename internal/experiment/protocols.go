@@ -17,7 +17,7 @@ func trialSeed(base int64, n, trial int) int64 {
 }
 
 // envConfig builds the standard deployment; count=true sets unit readings
-// (COUNT query).
+// (COUNT query). Every protocol runner takes the *wsn.Env built from it.
 func envConfig(n int, seed int64, count bool) wsn.Config {
 	cfg := wsn.DefaultConfig(n, seed)
 	if count {
@@ -26,12 +26,8 @@ func envConfig(n int, seed int64, count bool) wsn.Config {
 	return cfg
 }
 
-// runTAG executes one TAG round on a fresh deployment.
-func runTAG(n int, seed int64, count bool) (metrics.RoundResult, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, count))
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
+// runTAG executes one TAG round on env.
+func runTAG(env *wsn.Env) (metrics.RoundResult, error) {
 	p, err := tag.New(env, tag.DefaultConfig())
 	if err != nil {
 		return metrics.RoundResult{}, err
@@ -39,12 +35,9 @@ func runTAG(n int, seed int64, count bool) (metrics.RoundResult, error) {
 	return p.Run(1)
 }
 
-// runIPDA executes one iPDA round; mut may adjust the protocol config.
-func runIPDA(n int, seed int64, count bool, mut func(*ipda.Config)) (metrics.RoundResult, *ipda.Protocol, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, count))
-	if err != nil {
-		return metrics.RoundResult{}, nil, err
-	}
+// runIPDA executes one iPDA round on env; mut may adjust the protocol
+// config.
+func runIPDA(env *wsn.Env, mut func(*ipda.Config)) (metrics.RoundResult, *ipda.Protocol, error) {
 	cfg := ipda.DefaultConfig()
 	if mut != nil {
 		mut(&cfg)
@@ -57,20 +50,10 @@ func runIPDA(n int, seed int64, count bool, mut func(*ipda.Config)) (metrics.Rou
 	return res, p, err
 }
 
-// runCore executes one cluster-protocol round on a fresh deployment; mut
-// may adjust the config.
-func runCore(n int, seed int64, count bool, mut func(*core.Config)) (metrics.RoundResult, *core.Protocol, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, count))
-	if err != nil {
-		return metrics.RoundResult{}, nil, err
-	}
-	return runCoreEnv(env, mut)
-}
-
-// runCoreEnv executes one cluster-protocol round on an existing environment.
-// Dry-run/replay trials reuse one deployment through env.Reset instead of
-// re-deploying the topology for every run at the same seed.
-func runCoreEnv(env *wsn.Env, mut func(*core.Config)) (metrics.RoundResult, *core.Protocol, error) {
+// runCore executes one cluster-protocol round on env; mut may adjust the
+// config. Dry-run/replay trials reuse one deployment through env.Reset
+// instead of re-deploying the topology for every run at the same seed.
+func runCore(env *wsn.Env, mut func(*core.Config)) (metrics.RoundResult, *core.Protocol, error) {
 	cfg := core.DefaultConfig()
 	if mut != nil {
 		mut(&cfg)
@@ -81,63 +64,6 @@ func runCoreEnv(env *wsn.Env, mut func(*core.Config)) (metrics.RoundResult, *cor
 	}
 	res, err := p.Run(1)
 	return res, p, err
-}
-
-// runTAGOn runs TAG on a pre-built environment (energy audits need the
-// recorder afterwards).
-func runTAGOn(env *wsn.Env) (metrics.RoundResult, error) {
-	p, err := tag.New(env, tag.DefaultConfig())
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	return p.Run(1)
-}
-
-// runCoreOn runs the cluster protocol on a pre-built environment.
-func runCoreOn(env *wsn.Env) (metrics.RoundResult, error) {
-	p, err := core.New(env, core.DefaultConfig())
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	return p.Run(1)
-}
-
-// runCoreNoRun builds a cluster-protocol instance without executing a round
-// (used by the localization experiment, which drives rounds itself).
-func runCoreNoRun(n int, seed int64, mut func(*core.Config)) (*wsn.Env, *core.Protocol, error) {
-	env, err := wsn.NewEnv(envConfig(n, seed, false))
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg := core.DefaultConfig()
-	if mut != nil {
-		mut(&cfg)
-	}
-	p, err := core.New(env, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return env, p, nil
-}
-
-// runCoreWithKeys runs the cluster protocol under an alternative key
-// scheme (the F9 ablation).
-func runCoreWithKeys(n int, seed int64, proxy wsnConfigProxy) (metrics.RoundResult, error) {
-	cfg := envConfig(n, seed, false)
-	if proxy.eg {
-		cfg.KeyScheme = wsn.KeyEG
-		cfg.EGPoolSize = proxy.pool
-		cfg.EGRingSize = proxy.ring
-	}
-	env, err := wsn.NewEnv(cfg)
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	p, err := core.New(env, core.DefaultConfig())
-	if err != nil {
-		return metrics.RoundResult{}, err
-	}
-	return p.Run(1)
 }
 
 // meanOf runs fn over trials and averages the selected metric.

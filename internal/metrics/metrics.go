@@ -160,6 +160,7 @@ func (r *Recorder) AppMessages() int {
 
 // Traffic is a point-in-time value copy of a Recorder's totals, safe to
 // hand across goroutine boundaries (the Recorder itself is single-owner).
+// Its JSON form is part of the serving API (/statsz traffic blocks).
 type Traffic struct {
 	TxBytes     int `json:"tx_bytes"`
 	RxBytes     int `json:"rx_bytes"`
@@ -194,6 +195,20 @@ func (t *Traffic) Add(o Traffic) {
 	t.Dropped += o.Dropped
 }
 
+// Sub returns the traffic accumulated since the earlier snapshot o — how a
+// protocol turns a round-start baseline into that round's cost.
+func (t Traffic) Sub(o Traffic) Traffic {
+	return Traffic{
+		TxBytes:     t.TxBytes - o.TxBytes,
+		RxBytes:     t.RxBytes - o.RxBytes,
+		TxMessages:  t.TxMessages - o.TxMessages,
+		RxMessages:  t.RxMessages - o.RxMessages,
+		AppMessages: t.AppMessages - o.AppMessages,
+		Collisions:  t.Collisions - o.Collisions,
+		Dropped:     t.Dropped - o.Dropped,
+	}
+}
+
 // BytesByKind returns a copy of the per-message-kind byte totals.
 func (r *Recorder) BytesByKind() map[string]int {
 	return maps.Clone(r.byKind)
@@ -210,30 +225,31 @@ func (r *Recorder) KindsSorted() []string {
 }
 
 // RoundResult captures the outcome of one aggregation round as seen at the
-// base station, compared against ground truth.
+// base station, compared against ground truth. Its JSON form is part of the
+// serving API (the "round" of every /v1/query answer).
 type RoundResult struct {
-	Protocol     string
-	TrueSum      int64 // ground-truth sum over ALL deployed sensor nodes
-	TrueCount    int64 // ground-truth count of all deployed sensor nodes
-	ReportedSum  int64 // what the base station accepted
-	ReportedCnt  int64
-	Participants int  // nodes whose reading entered the aggregate
-	Covered      int  // nodes structurally able to participate
-	Accepted     bool // base-station integrity verdict
-	Alarms       int  // witness alarms received
+	Protocol     string `json:"protocol"`
+	TrueSum      int64  `json:"true_sum"`     // ground-truth sum over ALL deployed sensor nodes
+	TrueCount    int64  `json:"true_count"`   // ground-truth count of all deployed sensor nodes
+	ReportedSum  int64  `json:"reported_sum"` // what the base station accepted
+	ReportedCnt  int64  `json:"reported_count"`
+	Participants int    `json:"participants"` // nodes whose reading entered the aggregate
+	Covered      int    `json:"covered"`      // nodes structurally able to participate
+	Accepted     bool   `json:"accepted"`     // base-station integrity verdict (always true for TAG)
+	Alarms       int    `json:"alarms"`       // witness alarms received
 
-	// Resilience accounting (degraded subset recovery).
-	DegradedClusters int // clusters recovered over a strict participant subset
-	FailedClusters   int // viable clusters that contributed nothing
+	// Resilience accounting (degraded subset recovery; cluster protocol only).
+	DegradedClusters int `json:"degraded_clusters"` // clusters recovered over a strict participant subset
+	FailedClusters   int `json:"failed_clusters"`   // viable clusters that contributed nothing
 
-	// Head-failover accounting.
-	Takeovers       int // deputy stand-in announces after in-round head silence
-	Promotions      int // deputies promoted to permanent head at round start
-	OrphansRejoined int // members of dead clusters re-adopted elsewhere
+	// Head-failover accounting (cluster protocol only).
+	Takeovers       int `json:"takeovers"`        // deputy stand-in announces after in-round head silence
+	Promotions      int `json:"promotions"`       // deputies promoted to permanent head at round start
+	OrphansRejoined int `json:"orphans_rejoined"` // members of dead clusters re-adopted elsewhere
 
-	TxBytes     int
-	TxMessages  int // all frames including MAC ACKs
-	AppMessages int // frames excluding MAC ACKs
+	TxBytes     int `json:"tx_bytes"`     // bytes on the air, MAC ACKs included
+	TxMessages  int `json:"tx_messages"`  // all frames including MAC ACKs
+	AppMessages int `json:"app_messages"` // frames excluding MAC ACKs
 }
 
 // Accuracy is reported-sum / true-sum, the paper's accuracy metric

@@ -26,6 +26,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/message"
 	"repro/internal/metrics"
+	"repro/internal/tag"
 	"repro/internal/topo"
 	"repro/internal/wsn"
 )
@@ -35,9 +36,6 @@ type Config struct {
 	FormationWindow time.Duration
 	EpochSlot       time.Duration
 	MaxHops         int
-	// AttestWindow is how long after aggregation the attestation phase
-	// runs.
-	AttestWindow time.Duration
 	// SampleFraction of aggregators (nodes with children) challenged per
 	// round.
 	SampleFraction float64
@@ -53,66 +51,53 @@ func DefaultConfig() Config {
 		FormationWindow: 1500 * time.Millisecond,
 		EpochSlot:       150 * time.Millisecond,
 		MaxHops:         16,
-		AttestWindow:    2 * time.Second,
 		SampleFraction:  0.2,
 		Polluter:        -1,
 	}
 }
 
-type nodeState struct {
-	parent     topo.NodeID
-	hops       int
-	childSum   field.Element
-	childCount uint32
-	children   []topo.NodeID
-	sent       field.Element // what this node reported upward
-	reported   bool
-	attestSeen bool // challenge-flood dedup
-}
-
-// Protocol is one SDAP-lite instance over an Env.
+// Protocol is one SDAP-lite instance over an Env: TAG's tree (package
+// internal/tag) plus the challenge, attest and attest-response phases.
 type Protocol struct {
 	env   *wsn.Env
 	cfg   Config
-	nodes []nodeState
+	tree  *tag.Protocol
 	round uint16
 
-	detected  bool
-	attested  int
-	startB    int
-	startMsgs int
-	startApp  int
+	attestSeen []bool // challenge-flood dedup, per node
+	detected   bool
+	attested   int
 }
 
 // New wires an instance onto the environment's MAC.
 func New(env *wsn.Env, cfg Config) (*Protocol, error) {
-	if cfg.FormationWindow <= 0 || cfg.EpochSlot <= 0 || cfg.MaxHops < 1 ||
-		cfg.AttestWindow <= 0 || cfg.SampleFraction < 0 || cfg.SampleFraction > 1 {
+	if cfg.SampleFraction < 0 || cfg.SampleFraction > 1 {
 		return nil, fmt.Errorf("sdap: invalid config %+v", cfg)
 	}
-	return &Protocol{env: env, cfg: cfg}, nil
+	tree, err := tag.New(env, tag.Config{
+		FormationWindow: cfg.FormationWindow,
+		EpochSlot:       cfg.EpochSlot,
+		MaxHops:         cfg.MaxHops,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sdap: %w", err)
+	}
+	tree.Forward = func(id topo.NodeID, sum field.Element) field.Element {
+		if id == cfg.Polluter {
+			sum = sum.Add(field.FromInt(cfg.PollutionDelta))
+		}
+		return sum
+	}
+	return &Protocol{env: env, cfg: cfg, tree: tree}, nil
 }
 
 // Run executes one aggregation + attestation round.
 func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 	p.round = round
-	n := p.env.Net.Size()
-	p.nodes = make([]nodeState, n)
-	for i := range p.nodes {
-		p.nodes[i].parent = -1
-	}
+	p.attestSeen = make([]bool, p.env.Net.Size())
 	p.detected = false
 	p.attested = 0
-	p.startB = p.env.Rec.TotalTxBytes()
-	p.startMsgs = p.env.Rec.TotalTxMessages()
-	p.startApp = p.env.Rec.AppMessages()
-	for i := 0; i < n; i++ {
-		id := topo.NodeID(i)
-		p.env.MAC.SetReceiver(id, p.receive)
-	}
-	p.nodes[topo.BaseStationID].parent = topo.BaseStationID
-	p.env.Eng.After(0, func() { p.sendHello(topo.BaseStationID, 0) })
-	p.env.Eng.After(p.cfg.FormationWindow, func() { p.scheduleReports() })
+	p.tree.Start(round, p.receive)
 	aggEnd := p.cfg.FormationWindow + time.Duration(p.cfg.MaxHops+1)*p.cfg.EpochSlot
 	p.env.Eng.After(aggEnd, func() { p.challenge() })
 
@@ -120,116 +105,27 @@ func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
 		return metrics.RoundResult{}, fmt.Errorf("sdap: %w", err)
 	}
 
-	bs := &p.nodes[topo.BaseStationID]
-	covered := 0
-	for i := 1; i < n; i++ {
-		if p.nodes[i].parent >= 0 {
-			covered++
-		}
+	res := p.tree.Result()
+	res.Protocol = "sdap"
+	res.Accepted = !p.detected
+	if p.detected {
+		res.Alarms = 1
 	}
-	return metrics.RoundResult{
-		Protocol:     "sdap",
-		TrueSum:      p.env.TrueSum(),
-		TrueCount:    p.env.TrueCount(),
-		ReportedSum:  bs.childSum.Int(),
-		ReportedCnt:  int64(bs.childCount),
-		Participants: int(bs.childCount),
-		Covered:      covered,
-		Accepted:     !p.detected,
-		Alarms:       boolToInt(p.detected),
-		TxBytes:      p.env.Rec.TotalTxBytes() - p.startB,
-		TxMessages:   p.env.Rec.TotalTxMessages() - p.startMsgs,
-		AppMessages:  p.env.Rec.AppMessages() - p.startApp,
-	}, nil
+	return res, nil
 }
 
 // Attested returns how many aggregators were challenged last round.
 func (p *Protocol) Attested() int { return p.attested }
 
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func (p *Protocol) sendHello(from topo.NodeID, hops int) {
-	p.env.MAC.Send(message.Build(
-		message.KindHello, from, message.BroadcastID, p.round,
-		message.MarshalHello(message.Hello{Origin: topo.BaseStationID, Hops: uint16(hops)}),
-	))
-}
-
 func (p *Protocol) receive(at topo.NodeID, msg *message.Message) {
 	switch msg.Kind {
-	case message.KindHello:
-		p.onHello(at, msg)
-	case message.KindAggregate:
-		p.onAggregate(at, msg)
 	case message.KindAttest:
 		p.onAttest(at, msg)
 	case message.KindAttestResp:
 		p.onAttestResp(at, msg)
+	default:
+		p.tree.Receive(at, msg)
 	}
-}
-
-func (p *Protocol) onHello(at topo.NodeID, msg *message.Message) {
-	st := &p.nodes[at]
-	if st.parent >= 0 {
-		return
-	}
-	h, err := message.UnmarshalHello(msg.Payload)
-	if err != nil {
-		return
-	}
-	st.parent = msg.From
-	st.hops = int(h.Hops) + 1
-	p.sendHello(at, st.hops)
-}
-
-func (p *Protocol) scheduleReports() {
-	for i := 1; i < p.env.Net.Size(); i++ {
-		id := topo.NodeID(i)
-		st := &p.nodes[i]
-		if st.parent < 0 {
-			continue
-		}
-		slot := p.cfg.MaxHops - st.hops
-		if slot < 0 {
-			slot = 0
-		}
-		jitter := time.Duration(p.env.Rng.Int63n(int64(p.cfg.EpochSlot / 2)))
-		at := time.Duration(slot)*p.cfg.EpochSlot + jitter
-		p.env.Eng.After(at, func() { p.report(id) })
-	}
-}
-
-func (p *Protocol) report(id topo.NodeID) {
-	st := &p.nodes[id]
-	sum := st.childSum.Add(p.env.ReadingElement(id))
-	if id == p.cfg.Polluter {
-		sum = sum.Add(field.FromInt(p.cfg.PollutionDelta))
-	}
-	st.sent = sum
-	st.reported = true
-	p.env.MAC.Send(message.Build(
-		message.KindAggregate, id, st.parent, p.round,
-		message.MarshalAggregate(message.Aggregate{Sum: sum, Count: st.childCount + 1}),
-	))
-}
-
-func (p *Protocol) onAggregate(at topo.NodeID, msg *message.Message) {
-	if msg.To != at {
-		return
-	}
-	agg, err := message.UnmarshalAggregate(msg.Payload)
-	if err != nil {
-		return
-	}
-	st := &p.nodes[at]
-	st.childSum = st.childSum.Add(agg.Sum)
-	st.childCount += agg.Count
-	st.children = append(st.children, msg.From)
 }
 
 // challenge floods the base station's sample set; every sampled aggregator
@@ -240,8 +136,8 @@ func (p *Protocol) challenge() {
 	}
 	var sample []topo.NodeID
 	for i := 1; i < p.env.Net.Size(); i++ {
-		st := &p.nodes[i]
-		if len(st.children) == 0 || !st.reported {
+		st := &p.tree.Nodes[i]
+		if st.Children == 0 || !st.Reported {
 			continue // leaves carry no subtree to attest
 		}
 		if p.env.Rng.Float64() < p.cfg.SampleFraction {
@@ -260,16 +156,15 @@ func (p *Protocol) challenge() {
 		message.KindAttest, topo.BaseStationID, message.BroadcastID, p.round, payload))
 }
 
-// onAttest floods the challenge (every node rebroadcasts once via the
-// round/seq dedup in the MAC is not enough: the same frame kind from
-// different forwarders differs, so dedup locally via the reported flag on a
-// scratch bit) and answers it when sampled.
+// onAttest floods the challenge and answers it when sampled. Every node
+// rebroadcasts it once; the MAC's round/seq dedup cannot stop a re-flood
+// because each forwarder's copy is a distinct frame, so attestSeen dedups
+// per node.
 func (p *Protocol) onAttest(at topo.NodeID, msg *message.Message) {
-	st := &p.nodes[at]
-	if st.attestSeen {
+	if p.attestSeen[at] {
 		return
 	}
-	st.attestSeen = true
+	p.attestSeen[at] = true
 	// Re-flood so the challenge reaches deep aggregators.
 	p.env.MAC.Send(message.Build(message.KindAttest, at, message.BroadcastID, msg.Round, msg.Payload))
 	ids, err := message.UnmarshalIDList(msg.Payload)
@@ -283,13 +178,14 @@ func (p *Protocol) onAttest(at topo.NodeID, msg *message.Message) {
 		// Attest: in a real deployment this carries the children's
 		// MAC-authenticated reports. The attacker cannot forge those, so
 		// its attestation is inconsistent with what it sent upward.
+		st := &p.tree.Nodes[at]
 		resp := message.AttestResp{
 			Subject:    at,
-			Reported:   st.sent,
+			Reported:   st.Sent,
 			Consistent: at != p.cfg.Polluter,
 		}
 		p.env.MAC.Send(message.Build(
-			message.KindAttestResp, at, st.parent, msg.Round,
+			message.KindAttestResp, at, st.Parent, msg.Round,
 			message.MarshalAttestResp(resp)))
 	}
 }
@@ -310,18 +206,18 @@ func (p *Protocol) onAttestResp(at topo.NodeID, msg *message.Message) {
 		}
 		return
 	}
-	st := &p.nodes[at]
-	if st.parent < 0 {
+	parent := p.tree.Nodes[at].Parent
+	if parent < 0 {
 		return
 	}
-	p.env.MAC.Send(message.Build(message.KindAttestResp, at, st.parent, msg.Round, msg.Payload))
+	p.env.MAC.Send(message.Build(message.KindAttestResp, at, parent, msg.Round, msg.Payload))
 }
 
 // PickAggregator deterministically returns the lowest-ID node that
 // aggregated children in the last Run, or -1.
 func (p *Protocol) PickAggregator() topo.NodeID {
-	for i := 1; i < len(p.nodes); i++ {
-		if len(p.nodes[i].children) > 0 && p.nodes[i].reported {
+	for i := 1; i < len(p.tree.Nodes); i++ {
+		if st := &p.tree.Nodes[i]; st.Children > 0 && st.Reported {
 			return topo.NodeID(i)
 		}
 	}

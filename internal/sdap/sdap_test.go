@@ -3,6 +3,7 @@ package sdap
 import (
 	"testing"
 
+	"repro/internal/tag"
 	"repro/internal/topo"
 	"repro/internal/wsn"
 )
@@ -32,7 +33,6 @@ func TestNewValidation(t *testing.T) {
 		func(c *Config) { c.FormationWindow = 0 },
 		func(c *Config) { c.EpochSlot = 0 },
 		func(c *Config) { c.MaxHops = 0 },
-		func(c *Config) { c.AttestWindow = 0 },
 		func(c *Config) { c.SampleFraction = -0.1 },
 		func(c *Config) { c.SampleFraction = 1.1 },
 	}
@@ -80,7 +80,7 @@ func TestDetectionIsSamplingBounded(t *testing.T) {
 			// Pick a deterministic aggregator with children.
 			var polluter topo.NodeID = -1
 			for i := 1; i < env.Net.Size(); i++ {
-				if len(dry.nodes[i].children) > 0 {
+				if dry.tree.Nodes[i].Children > 0 {
 					polluter = topo.NodeID(i)
 					break
 				}
@@ -144,5 +144,41 @@ func TestLossyChannelStillWorks(t *testing.T) {
 	}
 	if acc := res.Accuracy(); acc < 0.85 {
 		t.Errorf("accuracy = %.3f", acc)
+	}
+}
+
+// TestUnsampledRoundMatchesTAG pins the shared tree: with no aggregator
+// challenged, an SDAP round is a TAG round — same draws, same frames, same
+// base-station view — on both ideal and lossy channels.
+func TestUnsampledRoundMatchesTAG(t *testing.T) {
+	for _, ideal := range []bool{true, false} {
+		for seed := int64(1); seed <= 5; seed++ {
+			_, p := run(t, 300, seed, ideal, func(c *Config) { c.SampleFraction = 0 })
+			got, err := p.Run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wcfg := wsn.DefaultConfig(300, seed)
+			wcfg.Radio.Ideal = ideal
+			env, err := wsn.NewEnv(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tp, err := tag.New(env, tag.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tp.Run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Protocol != "sdap" {
+				t.Errorf("protocol = %q", got.Protocol)
+			}
+			got.Protocol = want.Protocol
+			if got != want {
+				t.Errorf("ideal=%v seed=%d: sdap %+v\nwant tag %+v", ideal, seed, got, want)
+			}
+		}
 	}
 }

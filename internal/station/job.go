@@ -159,6 +159,7 @@ func (j *Job) Cancel() {
 	j.mu.Unlock()
 	if queued && j.finish(repro.QueryAnswer{}, context.Canceled) {
 		j.st.cancelFinished(j)
+		j.publish()
 	}
 }
 
@@ -183,7 +184,9 @@ func (j *Job) setRunning(worker int) {
 }
 
 // finish moves the job to its terminal state exactly once; the first
-// caller wins and the return value reports whether this call did it.
+// caller wins and the return value reports whether this call did it. The
+// winner accounts for the job and then calls publish, so a caller woken by
+// Wait already sees the job in the station's counters.
 func (j *Job) finish(ans repro.QueryAnswer, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -200,9 +203,11 @@ func (j *Job) finish(ans repro.QueryAnswer, err error) bool {
 		j.state, j.err = JobFailed, err
 	}
 	j.timerStop()
-	close(j.done)
 	return true
 }
+
+// publish wakes Wait and Done once finish has been won and accounted for.
+func (j *Job) publish() { close(j.done) }
 
 // JobStatus is the wire view of a job — what GET /v1/jobs/{id} returns and
 // what a sync POST /v1/query responds with once the job finishes.

@@ -414,6 +414,7 @@ func (s *Station) finish(job *Job, ans repro.QueryAnswer, err error) {
 		s.promotions.Add(int64(ans.Round.Promotions))
 	}
 	s.retire(job)
+	job.publish()
 }
 
 // retire records the finished job for eviction once KeepJobs is exceeded,

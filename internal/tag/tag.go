@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/field"
+	"repro/internal/mac"
 	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/topo"
@@ -32,21 +33,31 @@ func DefaultConfig() Config {
 	}
 }
 
-type nodeState struct {
-	parent     topo.NodeID // -1 until joined
-	hops       int
-	childSum   field.Element
-	childCount uint32
+// Node is one sensor's view of the tree in the current round.
+type Node struct {
+	Parent     topo.NodeID // -1 until joined
+	Hops       int
+	ChildSum   field.Element
+	ChildCount uint32
+	Children   int           // aggregate frames received from children
+	Sent       field.Element // partial sum forwarded to the parent
+	Reported   bool
 }
 
-// Protocol is one TAG instance over an Env.
+// Protocol is one TAG instance over an Env. Its tree — Start, Receive and
+// Result around one engine run — is also the substrate SDAP attests over.
 type Protocol struct {
 	env   *wsn.Env
 	cfg   Config
-	nodes []nodeState
 	round uint16
+	start metrics.Traffic
 
-	startBytes, startMsgs, startApp int
+	// Nodes holds the current round's tree, indexed by NodeID.
+	Nodes []Node
+
+	// Forward, when non-nil, rewrites the partial sum a node reports to its
+	// parent (SDAP's pollution attacker).
+	Forward func(id topo.NodeID, sum field.Element) field.Element
 }
 
 // New wires a TAG instance onto the environment's MAC.
@@ -60,51 +71,60 @@ func New(env *wsn.Env, cfg Config) (*Protocol, error) {
 
 // Run executes one query round and returns the base station's view.
 func (p *Protocol) Run(round uint16) (metrics.RoundResult, error) {
+	p.Start(round, p.Receive)
+	if err := p.env.Eng.Run(0); err != nil {
+		return metrics.RoundResult{}, fmt.Errorf("tag: %w", err)
+	}
+	return p.Result(), nil
+}
+
+// Start resets the tree for a round, routes every node's frames to receive
+// (Receive, or a protocol that layers phases over it) and schedules the HELLO
+// flood and the epoch reports. The caller runs the engine.
+func (p *Protocol) Start(round uint16, receive mac.Receiver) {
 	p.round = round
 	n := p.env.Net.Size()
-	p.nodes = make([]nodeState, n)
-	for i := range p.nodes {
-		p.nodes[i].parent = -1
+	p.Nodes = make([]Node, n)
+	for i := range p.Nodes {
+		p.Nodes[i].Parent = -1
 	}
-	p.startBytes = p.env.Rec.TotalTxBytes()
-	p.startMsgs = p.env.Rec.TotalTxMessages()
-	p.startApp = p.env.Rec.AppMessages()
+	p.start = p.env.Rec.Traffic()
 	for i := 0; i < n; i++ {
 		id := topo.NodeID(i)
-		p.env.MAC.SetReceiver(id, p.receive)
+		p.env.MAC.SetReceiver(id, receive)
 	}
 
 	// The base station roots the tree.
-	p.nodes[topo.BaseStationID].parent = topo.BaseStationID
+	p.Nodes[topo.BaseStationID].Parent = topo.BaseStationID
 	p.env.Eng.After(0, func() { p.sendHello(topo.BaseStationID, 0) })
 
 	// Epoch-scheduled aggregation: deeper nodes transmit earlier.
 	p.env.Eng.After(p.cfg.FormationWindow, func() { p.scheduleReports() })
+}
 
-	if err := p.env.Eng.Run(0); err != nil {
-		return metrics.RoundResult{}, fmt.Errorf("tag: %w", err)
-	}
-
-	bs := &p.nodes[topo.BaseStationID]
+// Result is the base station's view of the round just run.
+func (p *Protocol) Result() metrics.RoundResult {
+	bs := &p.Nodes[topo.BaseStationID]
 	covered := 0
-	for i := 1; i < n; i++ {
-		if p.nodes[i].parent >= 0 {
+	for i := 1; i < len(p.Nodes); i++ {
+		if p.Nodes[i].Parent >= 0 {
 			covered++
 		}
 	}
+	traffic := p.env.Rec.Traffic().Sub(p.start)
 	return metrics.RoundResult{
 		Protocol:     "tag",
 		TrueSum:      p.env.TrueSum(),
 		TrueCount:    p.env.TrueCount(),
-		ReportedSum:  bs.childSum.Int(),
-		ReportedCnt:  int64(bs.childCount),
-		Participants: int(bs.childCount),
+		ReportedSum:  bs.ChildSum.Int(),
+		ReportedCnt:  int64(bs.ChildCount),
+		Participants: int(bs.ChildCount),
 		Covered:      covered,
 		Accepted:     true, // TAG has no integrity check
-		TxBytes:      p.env.Rec.TotalTxBytes() - p.startBytes,
-		TxMessages:   p.env.Rec.TotalTxMessages() - p.startMsgs,
-		AppMessages:  p.env.Rec.AppMessages() - p.startApp,
-	}, nil
+		TxBytes:      traffic.TxBytes,
+		TxMessages:   traffic.TxMessages,
+		AppMessages:  traffic.AppMessages,
+	}
 }
 
 func (p *Protocol) sendHello(from topo.NodeID, hops int) {
@@ -114,7 +134,9 @@ func (p *Protocol) sendHello(from topo.NodeID, hops int) {
 	))
 }
 
-func (p *Protocol) receive(at topo.NodeID, msg *message.Message) {
+// Receive handles the tree's own frames, HELLO and aggregate; it ignores
+// every other kind.
+func (p *Protocol) Receive(at topo.NodeID, msg *message.Message) {
 	switch msg.Kind {
 	case message.KindHello:
 		p.onHello(at, msg)
@@ -126,24 +148,25 @@ func (p *Protocol) receive(at topo.NodeID, msg *message.Message) {
 		if err != nil {
 			return
 		}
-		st := &p.nodes[at]
-		st.childSum = st.childSum.Add(agg.Sum)
-		st.childCount += agg.Count
+		st := &p.Nodes[at]
+		st.ChildSum = st.ChildSum.Add(agg.Sum)
+		st.ChildCount += agg.Count
+		st.Children++
 	}
 }
 
 func (p *Protocol) onHello(at topo.NodeID, msg *message.Message) {
-	st := &p.nodes[at]
-	if st.parent >= 0 {
+	st := &p.Nodes[at]
+	if st.Parent >= 0 {
 		return // already joined
 	}
 	h, err := message.UnmarshalHello(msg.Payload)
 	if err != nil {
 		return
 	}
-	st.parent = msg.From
-	st.hops = int(h.Hops) + 1
-	p.sendHello(at, st.hops)
+	st.Parent = msg.From
+	st.Hops = int(h.Hops) + 1
+	p.sendHello(at, st.Hops)
 }
 
 // scheduleReports arranges every joined node's single aggregate
@@ -151,11 +174,11 @@ func (p *Protocol) onHello(at topo.NodeID, msg *message.Message) {
 func (p *Protocol) scheduleReports() {
 	for i := 1; i < p.env.Net.Size(); i++ {
 		id := topo.NodeID(i)
-		st := &p.nodes[i]
-		if st.parent < 0 {
+		st := &p.Nodes[i]
+		if st.Parent < 0 {
 			continue
 		}
-		slot := p.cfg.MaxHops - st.hops
+		slot := p.cfg.MaxHops - st.Hops
 		if slot < 0 {
 			slot = 0
 		}
@@ -167,10 +190,15 @@ func (p *Protocol) scheduleReports() {
 }
 
 func (p *Protocol) report(id topo.NodeID) {
-	st := &p.nodes[id]
-	sum := st.childSum.Add(p.env.ReadingElement(id))
+	st := &p.Nodes[id]
+	sum := st.ChildSum.Add(p.env.ReadingElement(id))
+	if p.Forward != nil {
+		sum = p.Forward(id, sum)
+	}
+	st.Sent = sum
+	st.Reported = true
 	p.env.MAC.Send(message.Build(
-		message.KindAggregate, id, st.parent, p.round,
-		message.MarshalAggregate(message.Aggregate{Sum: sum, Count: st.childCount + 1}),
+		message.KindAggregate, id, st.Parent, p.round,
+		message.MarshalAggregate(message.Aggregate{Sum: sum, Count: st.ChildCount + 1}),
 	))
 }

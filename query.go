@@ -170,7 +170,7 @@ func (d *Deployment) RunQuery(kind QueryKind, o ClusterOptions) (QueryAnswer, er
 		Accepted: out.Accepted,
 	}
 	if len(out.Results) > 0 {
-		ans.Round = fromRound(out.Results[0])
+		ans.Round = out.Results[0]
 	}
 	return ans, nil
 }

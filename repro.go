@@ -2,12 +2,13 @@
 // Protocol to Enforce Integrity and Preserve Privacy in Data Aggregation"
 // (ICDCS 2009): a complete wireless-sensor-network simulation substrate
 // (discrete-event engine, shared-medium radio with collisions, CSMA/CA MAC
-// with ARQ, link cryptography) carrying three aggregation protocols —
+// with ARQ, link cryptography) carrying four aggregation protocols —
 //
 //   - the cluster-based privacy+integrity protocol (the paper's
 //     contribution; package internal/core),
-//   - TAG (Madden et al.), the no-security baseline, and
-//   - iPDA (He et al.), the disjoint-tree comparator —
+//   - TAG (Madden et al.), the no-security baseline,
+//   - iPDA (He et al.), the disjoint-tree comparator, and
+//   - SDAP (Yang et al.), TAG's tree hardened by sampled attestation —
 //
 // plus the adversary models and the experiment harness that regenerates
 // every table and figure of the evaluation (see DESIGN.md and
@@ -70,44 +71,14 @@ type Deployment struct {
 
 // Traffic is a point-in-time copy of the deployment's radio-level traffic
 // counters, as accumulated since NewDeployment or the last Reset. It is a
-// plain value: safe to retain, compare, and hand across goroutines.
-type Traffic struct {
-	TxBytes     int `json:"tx_bytes"`
-	RxBytes     int `json:"rx_bytes"`
-	TxMessages  int `json:"tx_messages"`
-	RxMessages  int `json:"rx_messages"`
-	AppMessages int `json:"app_messages"` // frames excluding MAC ACKs
-	Collisions  int `json:"collisions"`
-	Dropped     int `json:"dropped"`
-}
-
-// Add accumulates another snapshot into t — how a pool of deployments
-// folds per-worker traffic into one total.
-func (t *Traffic) Add(o Traffic) {
-	t.TxBytes += o.TxBytes
-	t.RxBytes += o.RxBytes
-	t.TxMessages += o.TxMessages
-	t.RxMessages += o.RxMessages
-	t.AppMessages += o.AppMessages
-	t.Collisions += o.Collisions
-	t.Dropped += o.Dropped
-}
+// plain value: safe to retain, compare, fold with Add and hand across
+// goroutines.
+type Traffic = metrics.Traffic
 
 // Traffic snapshots the deployment's traffic counters. Like every other
 // method it must be serialized with runs; capture the snapshot between
 // rounds, not during one.
-func (d *Deployment) Traffic() Traffic {
-	t := d.env.Rec.Traffic()
-	return Traffic{
-		TxBytes:     t.TxBytes,
-		RxBytes:     t.RxBytes,
-		TxMessages:  t.TxMessages,
-		RxMessages:  t.RxMessages,
-		AppMessages: t.AppMessages,
-		Collisions:  t.Collisions,
-		Dropped:     t.Dropped,
-	}
-}
+func (d *Deployment) Traffic() Traffic { return d.env.Rec.Traffic() }
 
 // EnableTrace turns on in-memory flight recording with the given
 // ring-buffer capacity and returns a dump function that writes the retained
@@ -193,76 +164,27 @@ func (d *Deployment) Connected() bool { return d.env.Net.Connected() }
 // TrueSum returns the ground-truth sum of all sensor readings.
 func (d *Deployment) TrueSum() int64 { return d.env.TrueSum() }
 
-// Result is the base station's view of one aggregation round.
-type Result struct {
-	Protocol     string `json:"protocol"`
-	TrueSum      int64  `json:"true_sum"`
-	TrueCount    int64  `json:"true_count"`
-	ReportedSum  int64  `json:"reported_sum"`
-	ReportedCnt  int64  `json:"reported_count"`
-	Participants int    `json:"participants"`
-	Covered      int    `json:"covered"`
-	Accepted     bool   `json:"accepted"` // integrity verdict (always true for TAG)
-	Alarms       int    `json:"alarms"`   // witness alarms that reached the base station
+// Result is the base station's view of one aggregation round: the verdict,
+// Accuracy and ParticipationRate against ground truth, and the round's
+// traffic.
+type Result = metrics.RoundResult
 
-	// Resilience accounting (cluster protocol only).
-	DegradedClusters int `json:"degraded_clusters"` // clusters recovered over a strict participant subset
-	FailedClusters   int `json:"failed_clusters"`   // viable clusters that contributed nothing
-
-	// Head-failover accounting (cluster protocol only).
-	Takeovers       int `json:"takeovers"`        // deputy stand-in announces after in-round head silence
-	Promotions      int `json:"promotions"`       // deputies promoted to permanent head at round start
-	OrphansRejoined int `json:"orphans_rejoined"` // members of dead clusters re-adopted elsewhere
-
-	TxBytes     int `json:"tx_bytes"` // bytes on the air, MAC ACKs included
-	TxMessages  int `json:"tx_messages"`
-	AppMessages int `json:"app_messages"` // frames excluding MAC ACKs
+// protocol is the seam every aggregation protocol shares.
+type protocol interface {
+	Run(round uint16) (metrics.RoundResult, error)
 }
 
-// Accuracy is ReportedSum / TrueSum (1.0 = lossless). An exactly-reported
-// zero truth is perfect accuracy, not zero.
-func (r Result) Accuracy() float64 {
-	if r.TrueSum == 0 {
-		if r.ReportedSum == 0 {
-			return 1
-		}
-		return 0
+// runOnce runs round 1 of a just-built protocol, taking New's results
+// directly so each Run* method is one line.
+func runOnce(p protocol, err error) (Result, error) {
+	if err != nil {
+		return Result{}, fmt.Errorf("repro: %w", err)
 	}
-	return float64(r.ReportedSum) / float64(r.TrueSum)
-}
-
-// ParticipationRate is the fraction of sensors whose reading entered the
-// aggregate.
-func (r Result) ParticipationRate() float64 {
-	if r.TrueCount == 0 {
-		return 0
+	res, err := p.Run(1)
+	if err != nil {
+		return Result{}, fmt.Errorf("repro: %w", err)
 	}
-	return float64(r.Participants) / float64(r.TrueCount)
-}
-
-func fromRound(m metrics.RoundResult) Result {
-	return Result{
-		Protocol:     m.Protocol,
-		TrueSum:      m.TrueSum,
-		TrueCount:    m.TrueCount,
-		ReportedSum:  m.ReportedSum,
-		ReportedCnt:  m.ReportedCnt,
-		Participants: m.Participants,
-		Covered:      m.Covered,
-		Accepted:     m.Accepted,
-		Alarms:       m.Alarms,
-
-		DegradedClusters: m.DegradedClusters,
-		FailedClusters:   m.FailedClusters,
-
-		Takeovers:       m.Takeovers,
-		Promotions:      m.Promotions,
-		OrphansRejoined: m.OrphansRejoined,
-
-		TxBytes:     m.TxBytes,
-		TxMessages:  m.TxMessages,
-		AppMessages: m.AppMessages,
-	}
+	return res, nil
 }
 
 // ClusterOptions tunes the cluster-based protocol. Zero values take the
@@ -334,15 +256,7 @@ func (o ClusterOptions) config() core.Config {
 
 // RunCluster executes one round of the cluster-based protocol.
 func (d *Deployment) RunCluster(o ClusterOptions) (Result, error) {
-	p, err := core.New(d.env, o.config())
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	res, err := p.Run(1)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	return fromRound(res), nil
+	return runOnce(core.New(d.env, o.config()))
 }
 
 // RunClusterRounds executes `rounds` consecutive measurement epochs on one
@@ -364,17 +278,11 @@ func (d *Deployment) RunClusterRounds(rounds int, o ClusterOptions) ([]Result, e
 	}
 	out := make([]Result, 0, rounds)
 	for r := 1; r <= rounds; r++ {
-		var res metrics.RoundResult
-		if r == 1 {
-			res, err = p.Run(uint16(r))
-		} else {
-			d.env.ResampleReadings()
-			res, err = p.RunRetaining(uint16(r))
-		}
+		res, err := p.RunEpoch(uint16(r))
 		if err != nil {
 			return nil, fmt.Errorf("repro: round %d: %w", r, err)
 		}
-		out = append(out, fromRound(res))
+		out = append(out, res)
 	}
 	return out, nil
 }
@@ -400,50 +308,37 @@ func (d *Deployment) RunClusterCampaign(o ClusterOptions, camp *attack.Campaign)
 	}
 	prevSink := d.env.Sink
 	d.env.SetSink(nil)
+	defer d.env.SetSink(prevSink)
 	scout, err := core.New(d.env, o.config())
 	if err != nil {
-		d.env.SetSink(prevSink)
 		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
 	}
 	if _, err := scout.Run(1); err != nil {
-		d.env.SetSink(prevSink)
 		return nil, attack.Report{}, fmt.Errorf("repro: scout round: %w", err)
 	}
 	if err := camp.Scout(scout, d.env); err != nil {
-		d.env.SetSink(prevSink)
 		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
 	}
 
 	// Attacked replay: same seed, campaign tapped into the MAC and the
 	// trace fan, policy config hooks applied.
 	if err := d.env.Reset(seed); err != nil {
-		d.env.SetSink(prevSink)
 		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
 	}
 	cfg := o.config()
 	camp.Configure(&cfg)
 	p, err := core.New(d.env, cfg)
 	if err != nil {
-		d.env.SetSink(prevSink)
 		return nil, attack.Report{}, fmt.Errorf("repro: %w", err)
 	}
 	d.env.SetSink(trace.Fan(prevSink, camp))
 	d.env.MAC.SetTap(camp)
-	defer func() {
-		d.env.MAC.SetTap(nil)
-		d.env.SetSink(prevSink)
-	}()
+	defer d.env.MAC.SetTap(nil)
 
 	out := make([]Result, 0, rounds)
 	for r := 1; r <= rounds; r++ {
 		camp.BeginRound(uint16(r))
-		var res metrics.RoundResult
-		if r == 1 {
-			res, err = p.Run(uint16(r))
-		} else {
-			d.env.ResampleReadings()
-			res, err = p.RunRetaining(uint16(r))
-		}
+		res, err := p.RunEpoch(uint16(r))
 		if err != nil {
 			return nil, attack.Report{}, fmt.Errorf("repro: round %d: %w", r, err)
 		}
@@ -452,7 +347,7 @@ func (d *Deployment) RunClusterCampaign(o ClusterOptions, camp *attack.Campaign)
 			ReportedCnt: res.ReportedCnt,
 			TrueCount:   res.TrueCount,
 		})
-		out = append(out, fromRound(res))
+		out = append(out, res)
 	}
 	return out, camp.Report(), nil
 }
@@ -479,15 +374,7 @@ func (d *Deployment) LocalizePolluter(o ClusterOptions) (LocalizationResult, err
 
 // RunTAG executes one TAG round (no privacy, no integrity).
 func (d *Deployment) RunTAG() (Result, error) {
-	p, err := tag.New(d.env, tag.DefaultConfig())
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	res, err := p.Run(1)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	return fromRound(res), nil
+	return runOnce(tag.New(d.env, tag.DefaultConfig()))
 }
 
 // IPDAOptions tunes the iPDA comparator.
@@ -516,15 +403,7 @@ func (d *Deployment) RunIPDA(o IPDAOptions) (Result, error) {
 		cfg.Polluter = topoID(o.Polluter)
 		cfg.PollutionDelta = o.PollutionDelta
 	}
-	p, err := ipda.New(d.env, cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	res, err := p.Run(1)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	return fromRound(res), nil
+	return runOnce(ipda.New(d.env, cfg))
 }
 
 // ExperimentIDs lists the reproduction's tables and figures.
@@ -573,13 +452,5 @@ func (d *Deployment) RunSDAP(o SDAPOptions) (Result, error) {
 		cfg.Polluter = topoID(o.Polluter)
 		cfg.PollutionDelta = o.PollutionDelta
 	}
-	p, err := sdap.New(d.env, cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	res, err := p.Run(1)
-	if err != nil {
-		return Result{}, fmt.Errorf("repro: %w", err)
-	}
-	return fromRound(res), nil
+	return runOnce(sdap.New(d.env, cfg))
 }

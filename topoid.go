@@ -20,7 +20,7 @@ func PickPolluter(o Options, needDirectChild bool) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	p, err := newCoreForPick(dep)
+	p, err := core.New(dep.env, core.DefaultConfig())
 	if err != nil {
 		return -1, err
 	}
@@ -28,9 +28,4 @@ func PickPolluter(o Options, needDirectChild bool) (int, error) {
 		return -1, err
 	}
 	return int(p.PickAttacker(needDirectChild)), nil
-}
-
-// newCoreForPick builds a default cluster-protocol instance on a deployment.
-func newCoreForPick(dep *Deployment) (*core.Protocol, error) {
-	return core.New(dep.env, core.DefaultConfig())
 }

@@ -22,7 +22,8 @@ test:
 
 race:
 	$(GO) test -race ./internal/sim/ ./internal/experiment/ ./internal/station/ ./internal/fleet/ \
-		./internal/telemetry/ ./internal/trace/ ./internal/chaos/ ./internal/attack/ ./internal/mac/ ./internal/radio/
+		./internal/telemetry/ ./internal/trace/ ./internal/chaos/ ./internal/attack/ ./internal/mac/ ./internal/radio/ \
+		./cmd/aggsim/ ./cmd/aggtrace/
 	$(GO) test -race -run 'Deputy|Takeover|HeadCrash|Churn|CrashRecover|Failover' ./internal/core/
 
 ## f17-smoke: quick pass over the degraded-recovery ablation — fails if the
@@ -78,8 +79,9 @@ chaos-smoke:
 
 ## metrics-smoke: the observability gate — a sharded daemon under a
 ## mixed-kind burst must serve a /metricsz exposition that parses, with
-## per-shard series that stay monotone across scrapes and agree with
-## /statsz, and the request id returned on the wire must reconstruct into
+## per-shard series that stay monotone across scrapes and whose done-job
+## total equals the jobs the test saw answered, and the request id
+## returned on the wire must reconstruct into
 ## a fan-out span tree (forward → admit → run → done → merge) through
 ## aggtrace -why request; the telemetry record path must stay
 ## allocation-free (AllocsPerRun gate). Scrape-under-load runs with -race.

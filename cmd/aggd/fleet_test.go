@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"syscall"
@@ -56,7 +58,7 @@ func drainAll(t *testing.T, errChs ...chan error) {
 
 // TestShardedFleetServesAndDrains boots aggd in -shards mode, proves the
 // wire surface still serves (including a fleet-spanning fanout that must
-// agree across shards), checks the fleet-shaped /statsz, and drains on
+// agree across shards), checks the shard-labeled /metricsz, and drains on
 // SIGTERM end to end.
 func TestShardedFleetServesAndDrains(t *testing.T) {
 	addr, errCh := bootDaemon(t,
@@ -97,22 +99,15 @@ func TestShardedFleetServesAndDrains(t *testing.T) {
 		t.Fatalf("fanout across the daemon fleet: %d jobs agree=%v", len(fan.Jobs), fan.Agree)
 	}
 
-	resp, err = http.Get("http://" + addr + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats struct {
-		Shards int `json:"shards"`
-		Merged struct {
-			Workers int `json:"workers"`
-		} `json:"merged"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Shards != 2 || stats.Merged.Workers != 2 {
-		t.Errorf("fleet statsz: shards=%d merged.workers=%d", stats.Shards, stats.Merged.Workers)
+	samples := scrape(t, addr)
+	for _, key := range []string{
+		`agg_station_workers{shard="0"}`, `agg_station_workers{shard="1"}`,
+		`agg_fleet_shard_state{shard="0",state="healthy"}`,
+		`agg_fleet_shard_state{shard="1",state="healthy"}`,
+	} {
+		if samples[key] != 1 {
+			t.Errorf("fleet metrics: %s = %v, want 1", key, samples[key])
+		}
 	}
 
 	drainAll(t, errCh)
@@ -120,8 +115,8 @@ func TestShardedFleetServesAndDrains(t *testing.T) {
 
 // TestJoinProxyCoordinatesRemoteShards boots two shard daemons with
 // distinct ID prefixes plus a -join coordinator over them, and proves a
-// query through the proxy is served by a real shard and the merged
-// observability fans in.
+// query through the proxy is served by a real shard, and that the proxy's
+// and each shard's /metricsz account for it.
 func TestJoinProxyCoordinatesRemoteShards(t *testing.T) {
 	s0, err0 := bootDaemon(t,
 		"-addr", "127.0.0.1:0", "-idprefix", "s0-", "-workers", "1", "-queue", "8",
@@ -159,26 +154,50 @@ func TestJoinProxyCoordinatesRemoteShards(t *testing.T) {
 		t.Errorf("proxied job poll = %d, want 200", resp.StatusCode)
 	}
 
-	resp, err = http.Get("http://" + proxy + "/statsz")
-	if err != nil {
-		t.Fatal(err)
+	proxied := scrape(t, proxy)
+	var attempts, done float64
+	for i, shard := range []string{s0, s1} {
+		attempts += proxied[fmt.Sprintf(`agg_proxy_attempts_total{target="%d"}`, i)]
+		if key := fmt.Sprintf(`agg_proxy_breaker_state{target="%d",state="closed"}`, i); proxied[key] != 1 {
+			t.Errorf("proxy metrics: %s = %v, want 1", key, proxied[key])
+		}
+		done += scrape(t, shard)[`agg_station_jobs_total{kind="sum",outcome="done"}`]
 	}
-	var stats struct {
-		Shards      int `json:"shards"`
-		Unreachable int `json:"unreachable"`
-		Merged      struct {
-			Completed int64 `json:"completed"`
-		} `json:"merged"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Shards != 2 || stats.Unreachable != 0 || stats.Merged.Completed < 1 {
-		t.Errorf("proxied statsz: %+v", stats)
+	if attempts < 2 || done != 1 {
+		t.Errorf("proxied query: %v proxy attempts (want >= 2: query + poll), %v done jobs on the shards (want 1)", attempts, done)
 	}
 
 	drainAll(t, err0, err1, errp)
+}
+
+// TestObserveServesPprofPerRun runs the daemon twice in one process with
+// -observe on an ephemeral port: each run must serve pprof on its own
+// listener and close it when run returns.
+func TestObserveServesPprofPerRun(t *testing.T) {
+	defer func() { cliutil.Observing = nil }()
+	for i := 0; i < 2; i++ {
+		obsCh := make(chan string, 1)
+		cliutil.Observing = func(addr string) { obsCh <- addr }
+		_, errCh := bootDaemon(t,
+			"-addr", "127.0.0.1:0", "-observe", "127.0.0.1:0", "-workers", "1",
+			"-nodes", "80", "-seed", "7", "-ideal", "-draintimeout", "30s")
+		obs := <-obsCh
+		for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+			resp, err := http.Get("http://" + obs + path)
+			if err != nil {
+				t.Fatalf("run %d: %s: %v", i, path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("run %d: %s = %d, want 200", i, path, resp.StatusCode)
+			}
+		}
+		drainAll(t, errCh)
+		if conn, err := net.Dial("tcp", obs); err == nil {
+			conn.Close()
+			t.Errorf("run %d: observe listener %s still open after run returned", i, obs)
+		}
+	}
 }
 
 // TestFleetFlagValidation: the new topology flags reject nonsense the same

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"net"
+	"net/http"
+	"sync"
 	"testing"
 
 	"repro/internal/cliutil"
+	"repro/internal/telemetry"
 )
 
 func TestRunProtocols(t *testing.T) {
@@ -104,5 +108,74 @@ func TestRunLocalize(t *testing.T) {
 		"-ideal", "-polluter", "auto", "-delta", "5000", "-localize"}
 	if _, err := run(args); err != nil {
 		t.Errorf("localize run: %v", err)
+	}
+}
+
+// TestObserveServesMetricszPerRun runs an attacked simulation twice in one
+// process with -observe on an ephemeral port. Each run must serve its own
+// /metricsz — trace and campaign counters from one registry — while the
+// simulation writes it, and close the listener when run returns.
+func TestObserveServesMetricszPerRun(t *testing.T) {
+	defer func() { cliutil.Observing = nil }()
+	args := []string{"-protocol", "cluster", "-nodes", "120", "-seed", "7", "-rounds", "2",
+		"-attack", "tamper,replay", "-observe", "127.0.0.1:0"}
+	for i := 0; i < 2; i++ {
+		var (
+			obs     string
+			wg      sync.WaitGroup
+			done    = make(chan struct{})
+			mu      sync.Mutex
+			scraped int
+		)
+		scrapeOnce := func() bool {
+			resp, err := http.Get("http://" + obs + "/metricsz")
+			if err != nil {
+				return false // listener closed as the run ended
+			}
+			defer resp.Body.Close()
+			samples, err := telemetry.ParseText(resp.Body)
+			if err != nil {
+				t.Errorf("run %d: mid-run exposition does not parse: %v", i, err)
+				return false
+			}
+			if _, ok := samples[`agg_trace_events_total{type="lifecycle"}`]; !ok {
+				t.Errorf("run %d: /metricsz lacks the trace counters", i)
+			}
+			mu.Lock()
+			scraped++
+			mu.Unlock()
+			return true
+		}
+		cliutil.Observing = func(addr string) {
+			obs = addr
+			if !scrapeOnce() {
+				t.Errorf("run %d: /metricsz unreachable at %s", i, addr)
+			}
+			wg.Add(1)
+			go func() { // keep scraping while the simulation writes
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+						scrapeOnce()
+					}
+				}
+			}()
+		}
+		_, err := run(args)
+		close(done)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if scraped == 0 {
+			t.Errorf("run %d: no successful /metricsz scrape", i)
+		}
+		if conn, err := net.Dial("tcp", obs); err == nil {
+			conn.Close()
+			t.Errorf("run %d: observe listener %s still open after run returned", i, obs)
+		}
 	}
 }

@@ -27,10 +27,10 @@
 //     are restarted with exponential backoff + jitter, and re-admitted
 //     only after K consecutive healthy probes (supervisor.go). Faults are
 //     injected on purpose through Config.Chaos (internal/chaos).
-//   - Observation: Stats() merges every shard's counters into one
-//     fleet-wide view via trace.MergeSnapshots and repro.Traffic folding,
-//     with the per-shard breakdown preserved; health and fault transitions
-//     are emitted as typed trace events for aggtrace -why outage.
+//   - Observation: WriteMetrics renders the coordinator's registry plus
+//     every shard's under a shard="i" label as one /metricsz exposition;
+//     health and fault transitions are emitted as typed trace events for
+//     aggtrace -why outage.
 package fleet
 
 import (
@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
 	"repro/internal/chaos"
 	"repro/internal/station"
 	"repro/internal/topo"
@@ -605,17 +604,9 @@ func (f *Fleet) Drain(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// ShardStats is one shard's stats tagged with its ordinal and health.
-type ShardStats struct {
-	Shard int    `json:"shard"`
-	State string `json:"state"`
-	station.Stats
-}
-
-// Stats is the fleet-wide /statsz payload: a merged roll-up (counters
-// summed, flight-recorder snapshots folded through trace.MergeSnapshots,
-// radio traffic folded through repro.Traffic) plus the per-shard detail
-// and the coordinator's own shed/reject/restart accounting.
+// Stats is the coordinator's in-process snapshot: its own shed, reject,
+// restart and degraded accounting. Shard counters live in each shard's
+// registry, which WriteMetrics renders under a shard="i" label.
 type Stats struct {
 	Shards   int   `json:"shards"`
 	Draining bool  `json:"draining"`
@@ -623,15 +614,11 @@ type Stats struct {
 	Rejected int64 `json:"rejected"` // fleet-wide composed rejections
 	Restarts int64 `json:"restarts"` // supervisor-initiated shard restarts
 	Degraded int64 `json:"degraded"` // fan-outs answered partially
-
-	Merged   station.Stats `json:"merged"`
-	Traffic  repro.Traffic `json:"traffic"` // radio traffic summed over every worker
-	PerShard []ShardStats  `json:"per_shard"`
 }
 
-// Stats snapshots the fleet. Safe while epochs are in flight.
+// Stats snapshots the coordinator. Safe while epochs are in flight.
 func (f *Fleet) Stats() Stats {
-	out := Stats{
+	return Stats{
 		Shards:   len(f.slots),
 		Draining: f.draining.Load(),
 		Shed:     f.shed.Load(),
@@ -639,59 +626,4 @@ func (f *Fleet) Stats() Stats {
 		Restarts: f.restarts.Load(),
 		Degraded: f.degraded.Load(),
 	}
-	var per []station.Stats
-	for _, sl := range f.slots {
-		ss := ShardStats{Shard: sl.id, State: sl.State()}
-		if sh := sl.st.Load(); sh != nil {
-			ss.Stats = sh.Stats()
-			per = append(per, ss.Stats)
-		}
-		out.PerShard = append(out.PerShard, ss)
-	}
-	out.Merged = MergeStats(per...)
-	out.Merged.Draining = out.Draining
-	for _, s := range per {
-		for _, w := range s.WorkerStats {
-			out.Traffic.Add(w.Traffic)
-		}
-	}
-	return out
-}
-
-// StatsPayload is the /statsz body for a fleet backend.
-func (f *Fleet) StatsPayload() any { return f.Stats() }
-
-// MergeStats folds per-shard station stats into one fleet-wide view:
-// counters sum, queue depth and capacity sum, worker rosters concatenate,
-// trace snapshots merge key-wise, schedules concatenate. It is also how
-// the -join proxy merges /statsz payloads fetched from remote shards.
-func MergeStats(stats ...station.Stats) station.Stats {
-	var m station.Stats
-	traces := make([]map[string]int64, 0, len(stats))
-	for _, s := range stats {
-		m.Workers += s.Workers
-		m.QueueLen += s.QueueLen
-		m.QueueCap += s.QueueCap
-		m.Accepted += s.Accepted
-		m.Rejected += s.Rejected
-		m.Completed += s.Completed
-		m.Failed += s.Failed
-		m.Canceled += s.Canceled
-		m.Alarms += s.Alarms
-		m.IntegrityRejected += s.IntegrityRejected
-		m.DegradedClusters += s.DegradedClusters
-		m.FailedClusters += s.FailedClusters
-		m.Takeovers += s.Takeovers
-		m.Promotions += s.Promotions
-		m.WorkerStats = append(m.WorkerStats, s.WorkerStats...)
-		m.Schedules = append(m.Schedules, s.Schedules...)
-		if len(s.Trace) > 0 {
-			traces = append(traces, s.Trace)
-		}
-	}
-	if len(traces) > 0 {
-		m.Trace = trace.MergeSnapshots(traces...)
-	}
-	sort.Slice(m.Schedules, func(i, j int) bool { return m.Schedules[i].ID < m.Schedules[j].ID })
-	return m
 }

@@ -13,7 +13,7 @@ import (
 // can see — shedding, composed rejections, supervisor activity, fan-out
 // latency per shard, and the rolling availability window — while each
 // shard's own registry is merged in under a shard="i" label at exposition
-// time, the way /statsz merges shard snapshots.
+// time (WriteMetrics) — the one place shard counters are combined.
 
 // availTarget is the serving availability objective the error-budget burn
 // gauge is computed against (three nines over the rolling window).
@@ -53,6 +53,13 @@ func (f *Fleet) newMetrics() *metrics {
 		"Supervisor-initiated shard restarts.", mirror(&f.restarts))
 	reg.CounterFunc("agg_fleet_degraded_total",
 		"Fan-outs answered partially (some shards missing).", mirror(&f.degraded))
+	reg.GaugeFunc("agg_fleet_draining", "1 once the fleet has begun draining, else 0.",
+		func() float64 {
+			if f.draining.Load() {
+				return 1
+			}
+			return 0
+		})
 
 	for _, sl := range f.slots {
 		sl := sl

@@ -129,18 +129,7 @@ func TestProxyMetricsExposition(t *testing.T) {
 		t.Errorf("job status request_id %q != response header id %q", js.RequestID, rid)
 	}
 
-	resp, err = http.Get(rig.proxy.URL + "/metricsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
-		t.Errorf("metricsz content type = %q", ct)
-	}
-	samples, err := telemetry.ParseText(resp.Body)
-	if err != nil {
-		t.Fatalf("proxy exposition does not parse: %v", err)
-	}
+	samples := scrape(t, rig.proxy.URL)
 	attempts := samples[`agg_proxy_attempts_total{target="0"}`] +
 		samples[`agg_proxy_attempts_total{target="1"}`]
 	if attempts < 1 {
@@ -158,11 +147,15 @@ func TestProxyMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestFleetMetricsShardLabels drives a fleet, renders WriteMetrics, and
-// checks that each shard's station registry appears under its own
-// shard="i" label and agrees with what /statsz reports.
+// TestFleetMetricsShardLabels drives a fleet with flight-recorder counters
+// on, renders WriteMetrics, and checks that each shard's station registry
+// appears under its own shard="i" label: job outcomes matching the jobs
+// the test saw finish, per-worker rounds and traffic, and the trace
+// counters, next to the coordinator's own series.
 func TestFleetMetricsShardLabels(t *testing.T) {
-	f := newFleet(t, testConfig(2, 1, 8))
+	cfg := testConfig(2, 1, 8)
+	cfg.Station.TraceStats = true
+	f := newFleet(t, cfg)
 
 	jobs, missing, err := f.SubmitAll(station.QuerySpec{Kind: repro.QuerySum}, false)
 	if err != nil || len(missing) != 0 {
@@ -174,6 +167,54 @@ func TestFleetMetricsShardLabels(t *testing.T) {
 		}
 	}
 
+	samples := fleetSamples(t, f)
+	for shard := 0; shard < 2; shard++ {
+		for key, want := range map[string]float64{
+			`agg_station_jobs_total{shard="%d",kind="sum",outcome="done"}`: 1,
+			`agg_fleet_shard_state{shard="%d",state="healthy"}`:            1,
+			`agg_station_worker_rounds_total{shard="%d",worker="0"}`:       1,
+		} {
+			if key = fmt.Sprintf(key, shard); samples[key] != want {
+				t.Errorf("%s = %v, want %v", key, samples[key], want)
+			}
+		}
+		for _, key := range []string{
+			`agg_station_worker_traffic_total{shard="%d",worker="0",field="tx_bytes"}`,
+			`agg_trace_events_total{shard="%d",type="lifecycle"}`,
+			`agg_trace_phase_events_total{shard="%d",phase="exchange"}`,
+			`agg_trace_round{shard="%d"}`,
+			`agg_trace_sim_time_ns{shard="%d"}`,
+		} {
+			if key = fmt.Sprintf(key, shard); samples[key] <= 0 {
+				t.Errorf("%s = %v, want > 0", key, samples[key])
+			}
+		}
+	}
+	if done := sumSeries(samples, "agg_station_jobs_total", `outcome="done"`); done != float64(len(jobs)) {
+		t.Errorf("metrics count %v done jobs, the fan-out finished %d", done, len(jobs))
+	}
+	stats := f.Stats()
+	for key, want := range map[string]int64{
+		"agg_fleet_shed_total":     stats.Shed,
+		"agg_fleet_rejected_total": stats.Rejected,
+		"agg_fleet_restarts_total": stats.Restarts,
+		"agg_fleet_degraded_total": stats.Degraded,
+	} {
+		if got, ok := samples[key]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present %v), Stats() says %d", key, got, ok, want)
+		}
+	}
+	if got, ok := samples["agg_fleet_draining"]; !ok || got != 0 {
+		t.Errorf("agg_fleet_draining = %v (present %v), want 0 while serving", got, ok)
+	}
+	if samples["agg_fleet_availability_ratio"] != 1 {
+		t.Errorf("fleet availability = %v, want 1", samples["agg_fleet_availability_ratio"])
+	}
+}
+
+// fleetSamples renders the fleet's /metricsz body and parses it.
+func fleetSamples(t *testing.T, f *Fleet) map[string]float64 {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := f.WriteMetrics(&buf); err != nil {
 		t.Fatalf("WriteMetrics: %v", err)
@@ -182,24 +223,42 @@ func TestFleetMetricsShardLabels(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fleet exposition does not parse: %v\n%s", err, buf.String())
 	}
+	return samples
+}
 
-	stats := f.Stats()
-	var doneFromMetrics float64
-	for shard := 0; shard < 2; shard++ {
-		key := fmt.Sprintf(`agg_station_jobs_total{shard="%d",kind="sum",outcome="done"}`, shard)
-		if samples[key] < 1 {
-			t.Errorf("%s = %v, want at least the fan-out job", key, samples[key])
+// scrape GETs base+"/metricsz" and parses the exposition.
+func scrape(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
+		t.Errorf("metricsz content type = %q", ct)
+	}
+	samples, err := telemetry.ParseText(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition at %s does not parse: %v", base, err)
+	}
+	return samples
+}
+
+// sumSeries sums the samples of family name whose labels contain every
+// fragment, e.g. `outcome="done"`.
+func sumSeries(samples map[string]float64, name string, fragments ...string) float64 {
+	var total float64
+	for key, v := range samples {
+		if key != name && !strings.HasPrefix(key, name+"{") {
+			continue
 		}
-		doneFromMetrics += samples[key]
-		state := fmt.Sprintf(`agg_fleet_shard_state{shard="%d",state="healthy"}`, shard)
-		if samples[state] != 1 {
-			t.Errorf("%s = %v, want 1", state, samples[state])
+		match := true
+		for _, fr := range fragments {
+			match = match && strings.Contains(key, fr)
+		}
+		if match {
+			total += v
 		}
 	}
-	if want := float64(stats.Merged.Completed); doneFromMetrics != want {
-		t.Errorf("metrics count %v done jobs, /statsz reports %v", doneFromMetrics, want)
-	}
-	if samples["agg_fleet_availability_ratio"] != 1 {
-		t.Errorf("fleet availability = %v, want 1", samples["agg_fleet_availability_ratio"])
-	}
+	return total
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,14 +18,15 @@ import (
 // proxyRig is two real aggd-shaped shard servers behind a Proxy — the
 // -join topology, minus the processes.
 type proxyRig struct {
-	proxy  *httptest.Server
-	shards []*station.Station
+	proxy   *httptest.Server
+	shards  []*station.Station
+	targets []string // shard base URLs, index = ring ordinal
 }
 
 func newProxyRig(t *testing.T) *proxyRig {
 	t.Helper()
-	rig := &proxyRig{}
-	targets := make([]string, 2)
+	rig := &proxyRig{targets: make([]string, 2)}
+	targets := rig.targets
 	for i := range targets {
 		st, err := station.New(station.Config{
 			Workers:    1,
@@ -146,7 +148,7 @@ func TestProxyFanoutAgrees(t *testing.T) {
 
 func TestProxyObservation(t *testing.T) {
 	rig := newProxyRig(t)
-	// Serve something first so the merged stats are non-trivial.
+	// Serve something first so the shard counters are non-trivial.
 	postJSON(t, rig.proxy.URL+"/v1/query", `{"kind":"sum","fanout":true}`)
 
 	resp, err := http.Get(rig.proxy.URL + "/healthz")
@@ -162,23 +164,24 @@ func TestProxyObservation(t *testing.T) {
 		t.Fatalf("proxy healthz: %d %v", resp.StatusCode, hz)
 	}
 
-	resp, err = http.Get(rig.proxy.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ps proxyStats
-	if err := json.NewDecoder(resp.Body).Decode(&ps); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if ps.Shards != 2 || ps.Unreachable != 0 || len(ps.PerShard) != 2 {
-		t.Fatalf("proxy statsz shape: %+v", ps)
-	}
-	if ps.Merged.Completed < 2 || ps.Merged.Workers != 2 {
-		t.Errorf("proxy merged stats: completed=%d workers=%d", ps.Merged.Completed, ps.Merged.Workers)
-	}
-	if ps.Traffic.TxBytes == 0 {
-		t.Error("proxy merged traffic is zero after served epochs")
+	// The proxy exposes its own transport; a scraper pulls each shard's
+	// counters from the shard's listener.
+	proxied := scrape(t, rig.proxy.URL)
+	for i, target := range rig.targets {
+		key := fmt.Sprintf(`agg_proxy_breaker_state{target="%d",state="closed"}`, i)
+		if proxied[key] != 1 {
+			t.Errorf("%s = %v, want 1", key, proxied[key])
+		}
+		shard := scrape(t, target)
+		if shard["agg_station_workers"] != 1 {
+			t.Errorf("shard %d workers = %v, want 1", i, shard["agg_station_workers"])
+		}
+		if done := sumSeries(shard, "agg_station_jobs_total", `outcome="done"`); done != 1 {
+			t.Errorf("shard %d served %v fan-out jobs, want 1", i, done)
+		}
+		if tx := sumSeries(shard, "agg_station_worker_traffic_total", `field="tx_bytes"`); tx == 0 {
+			t.Errorf("shard %d traffic is zero after a served epoch", i)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"net/http"
 	"strconv"
 	"time"
 
@@ -35,8 +34,8 @@ type proxyMetrics struct {
 	// Per-target instrument handles, index = ring ordinal.
 	attempts  []*telemetry.Counter
 	hedges    []*telemetry.Counter
-	retryXpt  []*telemetry.Counter // transport-failure retries
-	retryBusy []*telemetry.Counter // 503-with-Retry-After retries
+	retryXpt  []*telemetry.Counter   // transport-failure retries
+	retryBusy []*telemetry.Counter   // 503-with-Retry-After retries
 	lat       []*telemetry.Histogram // cumulative, exposed at /metricsz
 	latWin    []*telemetry.Rolling   // recent window, feeds the hedge delay
 }
@@ -89,9 +88,4 @@ func (p *Proxy) newMetrics() *proxyMetrics {
 		"Error-budget burn rate against the 99.9% availability target.",
 		func() float64 { return m.avail.BudgetBurn(availTarget) })
 	return m
-}
-
-func (p *Proxy) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	_ = p.metrics.reg.WritePrometheus(w)
 }

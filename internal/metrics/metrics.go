@@ -160,7 +160,8 @@ func (r *Recorder) AppMessages() int {
 
 // Traffic is a point-in-time value copy of a Recorder's totals, safe to
 // hand across goroutine boundaries (the Recorder itself is single-owner).
-// Its JSON form is part of the serving API (/statsz traffic blocks).
+// Its JSON field names also label the station's per-worker traffic series
+// on /metricsz (agg_station_worker_traffic_total{field="tx_bytes"}, …).
 type Traffic struct {
 	TxBytes     int `json:"tx_bytes"`
 	RxBytes     int `json:"rx_bytes"`

@@ -30,7 +30,6 @@ type Backend interface {
 	ScheduleStatuses() []ScheduleStatus
 	Draining() bool
 	Health() Health
-	StatsPayload() any
 	// WriteMetrics renders the backend's telemetry registry as Prometheus
 	// text exposition — the /metricsz body. A fleet merges its shard
 	// registries under per-shard labels.
@@ -48,7 +47,7 @@ type Backend interface {
 //	GET    /v1/schedules/{id}/results retained epoch results, oldest first
 //	DELETE /v1/schedules/{id}         stop and remove a schedule
 //	GET    /healthz                   liveness (503 while draining)
-//	GET    /statsz                    pool/queue/scheduler/protocol counters
+//	GET    /metricsz                  Prometheus text exposition of every counter
 //
 // Backpressure contract: when admission is full the API answers 503 with a
 // retry_after_ms JSON hint and a Retry-After header derived from the same
@@ -93,8 +92,7 @@ func (a *API) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/schedules/{id}/results", a.handleScheduleResults)
 	mux.HandleFunc("DELETE /v1/schedules/{id}", a.handleScheduleDelete)
 	mux.HandleFunc("GET /healthz", a.handleHealthz)
-	mux.HandleFunc("GET /statsz", a.handleStatsz)
-	mux.HandleFunc("GET /metricsz", a.handleMetricsz)
+	mux.Handle("GET /metricsz", telemetry.Handler(a.st.WriteMetrics))
 	return WithRequestID(mux)
 }
 
@@ -359,15 +357,6 @@ func (a *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, h)
-}
-
-func (a *API) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, a.st.StatsPayload())
-}
-
-func (a *API) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	_ = a.st.WriteMetrics(w) // client gone; nothing useful to do
 }
 
 // decodeBody parses a small JSON request body strictly: unknown fields and

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Station, *httptest.Server) {
@@ -290,8 +292,12 @@ func TestGracefulDrainUnderTraffic(t *testing.T) {
 	}
 }
 
+// TestHealthzAndStatsz: /healthz reports the station as one healthy
+// shard, and after one served query the in-process Stats() snapshot and
+// the /metricsz exposition agree — pool shape, outcome counters, and every
+// worker's rounds and seven radio-traffic fields.
 func TestHealthzAndStatsz(t *testing.T) {
-	_, srv := newTestServer(t, testConfig(2, 8))
+	st, srv := newTestServer(t, testConfig(2, 8))
 	var health Health
 	if resp := getJSON(t, srv.URL+"/healthz", &health); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d", resp.StatusCode)
@@ -305,21 +311,69 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if resp, data := postJSON(t, srv.URL+"/v1/query", `{"kind":"variance"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, data)
 	}
-	var stats Stats
-	if resp := getJSON(t, srv.URL+"/statsz", &stats); resp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz = %d", resp.StatusCode)
-	}
+	stats := st.Stats()
 	if stats.Workers != 2 || stats.QueueCap != 8 {
-		t.Errorf("statsz pool shape = %d workers / %d cap", stats.Workers, stats.QueueCap)
+		t.Errorf("stats pool shape = %d workers / %d cap", stats.Workers, stats.QueueCap)
 	}
 	if stats.Completed != 1 || stats.Accepted != 1 {
-		t.Errorf("statsz counters = %+v", stats)
+		t.Errorf("stats counters = %+v", stats)
 	}
-	var rounds int64
+
+	samples := scrapeMetrics(t, srv.URL)
+	for key, want := range map[string]float64{
+		`agg_station_workers`:                                    2,
+		`agg_station_queue_capacity`:                             8,
+		`agg_station_submitted_total{result="accepted"}`:         1,
+		`agg_station_jobs_total{kind="variance",outcome="done"}`: 1,
+	} {
+		if samples[key] != want {
+			t.Errorf("%s = %v, want %v", key, samples[key], want)
+		}
+	}
+	var rounds float64
 	for _, w := range stats.WorkerStats {
-		rounds += w.Rounds
+		key := fmt.Sprintf(`agg_station_worker_rounds_total{worker="%d"}`, w.ID)
+		if samples[key] != float64(w.Rounds) {
+			t.Errorf("%s = %v, Stats() says %d", key, samples[key], w.Rounds)
+		}
+		rounds += samples[key]
+		traffic, err := json.Marshal(w.Traffic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]float64
+		if err := json.Unmarshal(traffic, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if len(fields) != 7 {
+			t.Fatalf("traffic has %d fields, want 7: %s", len(fields), traffic)
+		}
+		for field, v := range fields {
+			key := fmt.Sprintf(`agg_station_worker_traffic_total{worker="%d",field="%s"}`, w.ID, field)
+			if got, ok := samples[key]; !ok || got != v {
+				t.Errorf("%s = %v (present %v), Stats() says %v", key, got, ok, v)
+			}
+		}
 	}
 	if rounds != 1 {
-		t.Errorf("statsz worker rounds = %d, want 1", rounds)
+		t.Errorf("worker rounds on /metricsz = %v, want 1", rounds)
 	}
+}
+
+// scrapeMetrics GETs base+"/metricsz" and parses the exposition.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != telemetry.ContentType {
+		t.Errorf("content type = %q, want %q", ct, telemetry.ContentType)
+	}
+	samples, err := telemetry.ParseText(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	return samples
 }

@@ -2,6 +2,7 @@ package station
 
 import (
 	"io"
+	"strconv"
 
 	"repro"
 	"repro/internal/telemetry"
@@ -10,9 +11,11 @@ import (
 // Serving-path metrics. The registry is built once in New and instrument
 // handles are resolved up front, so the per-job cost is a histogram
 // Observe plus one counter Add — both allocation-free. Counters that
-// already exist as station atomics (admission, protocol outcomes) are
-// mirrored via CounterFunc/GaugeFunc closures read at exposition time, so
-// the serving path keeps single bookkeeping.
+// already exist as station atomics (admission, protocol outcomes) or as
+// worker accounting (rounds, radio traffic) are mirrored via
+// CounterFunc/GaugeFunc closures read at exposition time, so the serving
+// path keeps single bookkeeping. With Config.TraceStats the workers'
+// flight-recorder counters (agg_trace_*) land in the same registry.
 
 // jobOutcome indexes the per-kind outcome counters.
 const (
@@ -96,6 +99,36 @@ func (s *Station) newMetrics() *metrics {
 			return 0
 		})
 	return m
+}
+
+// trafficFields names one agg_station_worker_traffic_total series per
+// repro.Traffic field, labeled with the field's JSON name.
+var trafficFields = []struct {
+	name string
+	get  func(repro.Traffic) int
+}{
+	{"tx_bytes", func(t repro.Traffic) int { return t.TxBytes }},
+	{"rx_bytes", func(t repro.Traffic) int { return t.RxBytes }},
+	{"tx_messages", func(t repro.Traffic) int { return t.TxMessages }},
+	{"rx_messages", func(t repro.Traffic) int { return t.RxMessages }},
+	{"app_messages", func(t repro.Traffic) int { return t.AppMessages }},
+	{"collisions", func(t repro.Traffic) int { return t.Collisions }},
+	{"dropped", func(t repro.Traffic) int { return t.Dropped }},
+}
+
+// addWorker mirrors one pool slot's rounds and radio traffic; the worker's
+// lock is taken at exposition time only, never on the job path.
+func (m *metrics) addWorker(w *worker) {
+	id := strconv.Itoa(w.id)
+	m.reg.CounterFunc("agg_station_worker_rounds_total",
+		"Epochs each pool worker has run.",
+		func() float64 { return float64(w.status().Rounds) }, "worker", id)
+	for _, f := range trafficFields {
+		m.reg.CounterFunc("agg_station_worker_traffic_total",
+			"Radio traffic carried by each pool worker's deployment, by repro.Traffic field.",
+			func() float64 { return float64(f.get(w.status().Traffic)) },
+			"worker", id, "field", f.name)
+	}
 }
 
 // finished records one terminal job into the per-kind outcome counters.

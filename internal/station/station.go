@@ -67,8 +67,8 @@ type Config struct {
 	Cluster repro.ClusterOptions // protocol options applied to every query
 
 	// TraceStats attaches a live trace.Stats sink to every worker
-	// deployment; Stats() then carries the merged counters (the /statsz
-	// "trace" block).
+	// deployment. All workers count into the station registry's one set of
+	// agg_trace_* series, so /metricsz shows the station-wide totals.
 	TraceStats bool
 
 	// Trace, when non-nil, receives serving-layer request lifecycle events
@@ -184,9 +184,8 @@ type Station struct {
 // worker is one pool slot: a goroutine that exclusively owns one
 // Deployment. Only rounds/traffic are read from outside, under wmu.
 type worker struct {
-	id        int
-	dep       *repro.Deployment
-	statsSnap func() map[string]int64 // nil unless Config.TraceStats
+	id  int
+	dep *repro.Deployment
 
 	wmu     sync.Mutex
 	rounds  int64
@@ -220,8 +219,9 @@ func New(cfg Config) (*Station, error) {
 		}
 		w := &worker{id: i, dep: dep}
 		if cfg.TraceStats {
-			w.statsSnap = dep.TraceStats()
+			dep.TraceStats(st.metrics.reg)
 		}
+		st.metrics.addWorker(w)
 		if cfg.AttachSinks != nil {
 			if flush := cfg.AttachSinks(i, dep); flush != nil {
 				st.flushes = append(st.flushes, flush)
@@ -519,7 +519,15 @@ type WorkerStatus struct {
 	Traffic repro.Traffic `json:"traffic"`
 }
 
-// Stats is the station's live view — the /statsz payload.
+func (w *worker) status() WorkerStatus {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	return WorkerStatus{ID: w.id, Rounds: w.rounds, Traffic: w.traffic}
+}
+
+// Stats is the station's in-process snapshot, for tests and harnesses
+// that hold the *Station. It is not served: every counter here is on
+// /metricsz, and the schedules on GET /v1/schedules.
 type Stats struct {
 	Workers  int  `json:"workers"`
 	QueueLen int  `json:"queue_len"`
@@ -542,10 +550,6 @@ type Stats struct {
 
 	WorkerStats []WorkerStatus   `json:"worker_stats"`
 	Schedules   []ScheduleStatus `json:"schedules,omitempty"`
-
-	// Trace carries the merged per-worker flight-recorder counters when
-	// Config.TraceStats is on.
-	Trace map[string]int64 `json:"trace,omitempty"`
 }
 
 // Stats snapshots the station. Safe to call from any goroutine while
@@ -570,18 +574,8 @@ func (s *Station) Stats() Stats {
 		Takeovers:         s.takeovers.Load(),
 		Promotions:        s.promotions.Load(),
 	}
-	var snaps []map[string]int64
 	for _, w := range s.workers {
-		w.wmu.Lock()
-		ws := WorkerStatus{ID: w.id, Rounds: w.rounds, Traffic: w.traffic}
-		w.wmu.Unlock()
-		st.WorkerStats = append(st.WorkerStats, ws)
-		if w.statsSnap != nil {
-			snaps = append(snaps, w.statsSnap())
-		}
-	}
-	if len(snaps) > 0 {
-		st.Trace = trace.MergeSnapshots(snaps...)
+		st.WorkerStats = append(st.WorkerStats, w.status())
 	}
 	s.mu.Lock()
 	for _, sc := range s.schedules {
@@ -603,7 +597,3 @@ func (s *Station) ScheduleStatuses() []ScheduleStatus {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// StatsPayload is the /statsz body — Stats for a single station; a fleet
-// backend substitutes its merged fleet-wide view here.
-func (s *Station) StatsPayload() any { return s.Stats() }

@@ -1,13 +1,16 @@
 package station
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/telemetry"
 )
 
 // testConfig is a small, fast deployment: 80 ideal-channel nodes keep one
@@ -366,6 +369,11 @@ func TestFinishedJobEviction(t *testing.T) {
 	}
 }
 
+// TestTraceStatsMergedAcrossWorkers: with TraceStats on, every worker
+// counts into the station registry's one set of agg_trace_* series, so
+// /metricsz carries the station-wide totals. They must equal the counts
+// of one offline deployment replaying the same seeds into a registry of
+// its own.
 func TestTraceStatsMergedAcrossWorkers(t *testing.T) {
 	cfg := testConfig(2, 8)
 	cfg.TraceStats = true
@@ -377,18 +385,47 @@ func TestTraceStatsMergedAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		job, err := st.Submit(QuerySpec{Kind: repro.QuerySum, Seed: int64(i + 1)})
+	seeds := []int64{1, 2, 3, 4}
+	var jobs []*Job
+	for _, seed := range seeds {
+		job, err := st.Submit(QuerySpec{Kind: repro.QuerySum, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
+		jobs = append(jobs, job)
+	}
+	for _, job := range jobs {
 		if _, err := job.Wait(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats := st.Stats()
-	if stats.Trace == nil || stats.Trace["events_total"] == 0 {
-		t.Errorf("merged trace stats missing: %v", stats.Trace)
+
+	ref := telemetry.NewRegistry()
+	dep, err := repro.NewDeployment(cfg.Deploy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep.TraceStats(ref)
+	for _, seed := range seeds {
+		if err := dep.Reset(seed); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dep.RunQuery(repro.QuerySum, cfg.Cluster); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, want := traceSeries(t, st.MetricsRegistry()), traceSeries(t, ref)
+	if len(want) == 0 || want[`agg_trace_events_total{type="lifecycle"}`] == 0 {
+		t.Fatalf("reference run counted no lifecycle events: %v", want)
+	}
+	for key, v := range want {
+		if got[key] != v {
+			t.Errorf("%s = %v across workers, offline replay counts %v", key, got[key], v)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("station exposes %d agg_trace_* series, offline replay %d", len(got), len(want))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -398,6 +435,25 @@ func TestTraceStatsMergedAcrossWorkers(t *testing.T) {
 	if flushed != cfg.Workers {
 		t.Errorf("drain flushed %d sinks, want %d", flushed, cfg.Workers)
 	}
+}
+
+// traceSeries renders reg and keeps its agg_trace_* samples.
+func traceSeries(t *testing.T, reg *telemetry.Registry) map[string]float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range samples {
+		if !strings.HasPrefix(key, "agg_trace_") {
+			delete(samples, key)
+		}
+	}
+	return samples
 }
 
 func TestSubmitRejectsInvalidKind(t *testing.T) {

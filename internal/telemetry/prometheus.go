@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,6 +22,15 @@ type Labeled struct {
 	Labels   []string // alternating key, value
 }
 
+// Handler serves write's exposition — the /metricsz route of every
+// process, whatever registries write renders.
+func Handler(write func(io.Writer) error) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", ContentType)
+		_ = write(w) // client gone; nothing useful to do
+	})
+}
+
 // WritePrometheus renders the registry as Prometheus text exposition.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	return WriteAll(w, Labeled{Registry: r})
@@ -34,14 +44,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // signature so output is deterministic.
 func WriteAll(w io.Writer, groups ...Labeled) error {
 	bw := bufio.NewWriter(w)
-	// Snapshot every registry under its lock first (instrument handles are
-	// themselves concurrency-safe; only the family/series maps need the
-	// lock), then render without holding anything.
+	// Snapshot every registry under its lock first — series are copied by
+	// value, so instruments registered mid-scrape never race the render;
+	// the handles themselves are concurrency-safe — then render without
+	// holding anything.
 	type part struct {
 		help, kind string
 		extra      string
 		sigs       []string
-		series     []*series
+		series     []series
 	}
 	merged := make(map[string][]part)
 	var order []string
@@ -57,7 +68,7 @@ func WriteAll(w io.Writer, groups ...Labeled) error {
 				sigs: append([]string(nil), f.order...)}
 			sort.Strings(p.sigs)
 			for _, sig := range p.sigs {
-				p.series = append(p.series, f.series[sig])
+				p.series = append(p.series, *f.series[sig])
 			}
 			if _, seen := merged[name]; !seen {
 				order = append(order, name)
@@ -85,7 +96,7 @@ func WriteAll(w io.Writer, groups ...Labeled) error {
 // sample line; histograms expand to the cumulative le-bucket series plus
 // _sum and _count, with durations converted to seconds per Prometheus
 // convention.
-func writeSeries(w *bufio.Writer, name, kind, labels string, s *series) {
+func writeSeries(w *bufio.Writer, name, kind, labels string, s series) {
 	switch kind {
 	case kindHistogram:
 		buckets, count, sum := s.h.cumulative()

@@ -78,6 +78,13 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value loads the gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
+// SetMax raises the gauge to v unless it already holds more — a
+// high-water mark several writers can share.
+func (g *Gauge) SetMax(v int64) {
+	for cur := g.v.Load(); v > cur && !g.v.CompareAndSwap(cur, v); cur = g.v.Load() {
+	}
+}
+
 // Instrument kinds, used as the Prometheus TYPE line.
 const (
 	kindCounter   = "counter"
@@ -120,10 +127,11 @@ func NewRegistry() *Registry {
 }
 
 // lookup get-or-creates the (family, series) pair, enforcing that a name
-// keeps one kind and one label signature space. Misuse (kind clash, odd
-// label pairs) panics: these are programmer errors at construction time,
-// never data-dependent.
-func (r *Registry) lookup(name, help, kind string, labels []string) *series {
+// keeps one kind and one label signature space, and runs init on the
+// series under the registry lock — so a scrape never sees a series before
+// its instrument is set. Misuse (kind clash, odd label pairs) panics:
+// these are programmer errors at construction time, never data-dependent.
+func (r *Registry) lookup(name, help, kind string, labels []string, init func(*series)) *series {
 	if len(labels)%2 != 0 {
 		panic("telemetry: labels must be key/value pairs: " + name)
 	}
@@ -144,44 +152,45 @@ func (r *Registry) lookup(name, help, kind string, labels []string) *series {
 		f.series[sig] = s
 		f.order = append(f.order, sig)
 	}
+	init(s)
 	return s
 }
 
 // Counter returns the counter for name+labels, creating it on first use.
 // Labels are alternating key, value strings.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.fn != nil {
-		// Surface the clash here, at construction, not as a nil-handle
-		// panic at some later Inc() far from the misregistration.
-		panic("telemetry: metric " + name + " already registered via CounterFunc")
-	}
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.lookup(name, help, kindCounter, labels, func(s *series) {
+		if s.fn != nil {
+			// Surface the clash here, at construction, not as a nil-handle
+			// panic at some later Inc() far from the misregistration.
+			panic("telemetry: metric " + name + " already registered via CounterFunc")
+		}
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.fn != nil {
-		panic("telemetry: metric " + name + " already registered via GaugeFunc")
-	}
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.fn != nil {
+			panic("telemetry: metric " + name + " already registered via GaugeFunc")
+		}
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // Histogram returns the histogram for name+labels, creating it on first
 // use.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
-	s := r.lookup(name, help, kindHistogram, labels)
-	if s.h == nil {
-		s.h = &Histogram{}
-	}
-	return s.h
+	return r.lookup(name, help, kindHistogram, labels, func(s *series) {
+		if s.h == nil {
+			s.h = &Histogram{}
+		}
+	}).h
 }
 
 // CounterFunc registers a counter series whose value is read from fn at
@@ -189,20 +198,22 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 // elsewhere (station outcome counters), avoiding double bookkeeping on
 // the serving path. fn must be safe for concurrent use and monotone.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.c != nil {
-		panic("telemetry: metric " + name + " already registered as a handle-backed counter")
-	}
-	s.fn = fn
+	r.lookup(name, help, kindCounter, labels, func(s *series) {
+		if s.c != nil {
+			panic("telemetry: metric " + name + " already registered as a handle-backed counter")
+		}
+		s.fn = fn
+	})
 }
 
 // GaugeFunc registers a gauge series computed at exposition time (queue
 // depth, availability ratios, shard states). fn must be safe for
 // concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.g != nil {
-		panic("telemetry: metric " + name + " already registered as a handle-backed gauge")
-	}
-	s.fn = fn
+	r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.g != nil {
+			panic("telemetry: metric " + name + " already registered as a handle-backed gauge")
+		}
+		s.fn = fn
+	})
 }

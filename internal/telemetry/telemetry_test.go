@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +92,34 @@ func TestRegistryFuncClashPanics(t *testing.T) {
 		}()
 		r.CounterFunc("agg_handle_total", "", func() float64 { return 1 })
 	}()
+}
+
+// TestRegisterWhileRendering: series registered while another goroutine
+// renders the registry must not race the render — aggsim's campaign
+// registers its counters after -observe is already serving /metricsz, and
+// then the run makes no further registry calls that would order the two.
+func TestRegisterWhileRendering(t *testing.T) {
+	r := NewRegistry()
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = r.WritePrometheus(io.Discard)
+			}
+		}
+	}()
+	r.Counter("agg_handle_total", "").Inc()
+	r.Gauge("agg_handle_gauge", "").Set(1)
+	r.Histogram("agg_handle_seconds", "").Observe(time.Millisecond)
+	r.GaugeFunc("agg_fn_gauge", "", func() float64 { return 1 })
+	r.CounterFunc("agg_fn_total", "", func() float64 { return 1 })
+	time.Sleep(20 * time.Millisecond) // renders run with no ordering to the registrations
+	close(stop)
+	<-done
 }
 
 func TestRegistryOddLabelsPanics(t *testing.T) {

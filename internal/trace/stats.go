@@ -1,95 +1,74 @@
 package trace
 
-import (
-	"sort"
-	"sync"
-	"time"
+import "repro/internal/telemetry"
+
+// Stats is a live counter sink over a telemetry registry: it totals events
+// by type and by phase and raises the round and virtual-time high-water
+// marks. The counters are resolved once in NewStats, so Emit is a map read
+// and a few atomic adds, and a scraper may render the registry from
+// another goroutine mid-run. Sinks built over one registry share its
+// series: every worker of a station counts into the same set, and the
+// registry does the summing.
+type Stats struct {
+	reg     *telemetry.Registry
+	byType  map[string]*telemetry.Counter
+	byPhase map[string]*telemetry.Counter
+	round   *telemetry.Gauge
+	simTime *telemetry.Gauge
+}
+
+// Types and phases the protocol stack emits; NewStats resolves their
+// counters up front so Emit never takes the registry lock for them.
+var (
+	knownTypes = []string{TypePhase, TypeLifecycle, TypeElection, TypeJoin,
+		TypeWitness, TypeAlarm, TypeWatchdog, TypeCrash, TypeRecover, TypeDrop,
+		TypeEngine, TypeRound, TypeFault, TypeShard, TypeBreaker, TypeDegraded,
+		TypeRequest, TypeAttack, TypeBreach}
+	knownPhases = []string{PhaseFormation, PhaseRoster, PhaseExchange,
+		PhaseAssembly, PhaseAnnounce, PhaseFailover, PhaseRepair, PhaseRadio,
+		PhaseMAC, PhaseEngine, PhaseFleet, PhaseServe, PhaseAttack}
 )
 
-// Stats is a live counter sink: it totals events by type and by phase and
-// remembers the latest virtual time and round seen. Unlike the other
-// sinks it is safe for concurrent reads while the simulation emits —
-// it backs the -observe expvar endpoint, which is scraped from an HTTP
-// goroutine mid-run.
-type Stats struct {
-	mu      sync.Mutex
-	byType  map[string]int64
-	byPhase map[string]int64
-	total   int64
-	lastAt  time.Duration
-	round   uint16
-}
+const (
+	typeHelp  = "Flight-recorder events by type."
+	phaseHelp = "Flight-recorder events by protocol phase."
+)
 
-// NewStats returns an empty counter sink.
-func NewStats() *Stats {
-	return &Stats{
-		byType:  make(map[string]int64),
-		byPhase: make(map[string]int64),
+// NewStats returns a counter sink writing into reg.
+func NewStats(reg *telemetry.Registry) *Stats {
+	s := &Stats{
+		reg:     reg,
+		byType:  make(map[string]*telemetry.Counter, len(knownTypes)),
+		byPhase: make(map[string]*telemetry.Counter, len(knownPhases)),
+		round: reg.Gauge("agg_trace_round",
+			"High-water mark of the round numbers seen in events."),
+		simTime: reg.Gauge("agg_trace_sim_time_ns",
+			"High-water mark of event virtual time, nanoseconds."),
 	}
+	for _, t := range knownTypes {
+		s.byType[t] = reg.Counter("agg_trace_events_total", typeHelp, "type", t)
+	}
+	for _, p := range knownPhases {
+		s.byPhase[p] = reg.Counter("agg_trace_phase_events_total", phaseHelp, "phase", p)
+	}
+	return s
 }
 
-// Emit counts the event.
+// Emit counts the event. A type or phase outside the known set (the
+// legacy Record shim's free-form categories) gets its series on first use.
 func (s *Stats) Emit(ev Event) {
-	s.mu.Lock()
-	s.byType[ev.Type]++
+	c := s.byType[ev.Type]
+	if c == nil {
+		c = s.reg.Counter("agg_trace_events_total", typeHelp, "type", ev.Type)
+	}
+	c.Inc()
 	if ev.Phase != "" {
-		s.byPhase[ev.Phase]++
-	}
-	s.total++
-	s.lastAt = ev.At
-	if ev.Round > s.round {
-		s.round = ev.Round
-	}
-	s.mu.Unlock()
-}
-
-// Snapshot returns the counters as a flat map, ready for expvar.Func:
-// per-type counts under "type.<t>", per-phase counts under "phase.<p>",
-// plus "events_total", "round", and "sim_time_ns".
-func (s *Stats) Snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.byType)+len(s.byPhase)+3)
-	for k, v := range s.byType {
-		out["type."+k] = v
-	}
-	for k, v := range s.byPhase {
-		out["phase."+k] = v
-	}
-	out["events_total"] = s.total
-	out["round"] = int64(s.round)
-	out["sim_time_ns"] = int64(s.lastAt)
-	return out
-}
-
-// MergeSnapshots sums counter snapshots key-wise into one map — how a pool
-// of deployments (one Stats sink each) presents a single live view. The
-// high-water keys "round" and "sim_time_ns" take the max instead of the
-// sum, so the merged view still reads as "furthest progress seen".
-func MergeSnapshots(snaps ...map[string]int64) map[string]int64 {
-	out := make(map[string]int64)
-	for _, snap := range snaps {
-		for k, v := range snap {
-			if k == "round" || k == "sim_time_ns" {
-				if v > out[k] {
-					out[k] = v
-				}
-				continue
-			}
-			out[k] += v
+		c := s.byPhase[ev.Phase]
+		if c == nil {
+			c = s.reg.Counter("agg_trace_phase_events_total", phaseHelp, "phase", ev.Phase)
 		}
+		c.Inc()
 	}
-	return out
-}
-
-// Keys returns the snapshot's keys in deterministic order (tests, text
-// rendering).
-func (s *Stats) Keys() []string {
-	snap := s.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	s.round.SetMax(int64(ev.Round))
+	s.simTime.SetMax(int64(ev.At))
 }

@@ -4,7 +4,7 @@
 // and each core protocol phase — emits Events into a Sink; sinks include
 // a bounded in-memory ring buffer (Tracer), a JSONL stream writer for
 // offline forensics with cmd/aggtrace, and a thread-safe Stats counter
-// set for live observation over expvar.
+// set that feeds a telemetry registry for live observation at /metricsz.
 //
 // Tracing is optional and designed to vanish when disabled: every emit
 // site guards on a nil sink before building the event, so the hot path

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestNilTracerIsNoOp(t *testing.T) {
@@ -221,58 +224,50 @@ func TestFan(t *testing.T) {
 	}
 }
 
+// TestStats: the counter sink writes per-type and per-phase counts and
+// the high-water marks into its registry, is race-free against a
+// concurrent scrape, and shares series with every sink over the same
+// registry — the summing a station's workers rely on.
 func TestStats(t *testing.T) {
-	s := NewStats()
+	reg := telemetry.NewRegistry()
+	s := NewStats(reg)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // concurrent scrape while emitting must be race-free
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			s.Snapshot()
+			_ = reg.WritePrometheus(io.Discard)
 		}
 	}()
 	for i := 0; i < 100; i++ {
 		s.Emit(Event{At: time.Duration(i), Round: uint16(i % 4), Phase: PhaseAnnounce, Type: TypeAlarm})
 	}
 	s.Emit(Event{Round: 9, Type: TypeCrash})
+	s.Emit(Event{Type: "custom"}) // a free-form Record category
+	NewStats(reg).Emit(Event{At: 5, Round: 2, Phase: PhaseAnnounce, Type: TypeAlarm})
 	wg.Wait()
-	snap := s.Snapshot()
-	if snap["events_total"] != 101 || snap["type."+TypeAlarm] != 100 ||
-		snap["type."+TypeCrash] != 1 || snap["phase."+PhaseAnnounce] != 100 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	if snap["round"] != 9 {
-		t.Errorf("round high-water = %d", snap["round"])
-	}
-	keys := s.Keys()
-	if len(keys) != len(snap) {
-		t.Errorf("keys %v vs snapshot %v", keys, snap)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Errorf("keys not sorted: %v", keys)
-		}
-	}
-}
 
-func TestMergeSnapshots(t *testing.T) {
-	a := map[string]int64{"events_total": 3, "alarm": 1, "round": 5, "sim_time_ns": 100}
-	b := map[string]int64{"events_total": 4, "takeover": 2, "round": 2, "sim_time_ns": 900}
-	got := MergeSnapshots(a, b)
-	want := map[string]int64{
-		// Counters sum across workers; "round" and "sim_time_ns" describe a
-		// single deployment's progress, so the merged view takes the max.
-		"events_total": 7, "alarm": 1, "takeover": 2, "round": 5, "sim_time_ns": 900,
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("MergeSnapshots = %v, want %v", got, want)
+	samples, err := telemetry.ParseText(&buf)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, buf.String())
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("MergeSnapshots[%q] = %d, want %d", k, got[k], v)
+	want := map[string]float64{
+		`agg_trace_events_total{type="alarm"}`:           101,
+		`agg_trace_events_total{type="crash"}`:           1,
+		`agg_trace_events_total{type="custom"}`:          1,
+		`agg_trace_events_total{type="drop"}`:            0,
+		`agg_trace_phase_events_total{phase="announce"}`: 101,
+		`agg_trace_phase_events_total{phase="radio"}`:    0,
+		`agg_trace_round`:                                9,
+		`agg_trace_sim_time_ns`:                          99,
+	}
+	for key, v := range want {
+		if got, ok := samples[key]; !ok || got != v {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, v)
 		}
-	}
-	if out := MergeSnapshots(); len(out) != 0 {
-		t.Errorf("empty merge should be empty, got %v", out)
 	}
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // TestJSONGolden pins the wire form of the facade's result types: the
-// snake_case field names and their order are what /v1/query bodies and
-// /statsz traffic blocks carry, so any change here is a protocol change.
+// snake_case field names and their order are what /v1/query bodies carry,
+// and Traffic's names label the per-worker traffic series on /metricsz,
+// so any change here is a protocol change.
 func TestJSONGolden(t *testing.T) {
 	round := Result{
 		Protocol: "icpda", TrueSum: 1, TrueCount: 2, ReportedSum: 3, ReportedCnt: 4,

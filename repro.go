@@ -34,6 +34,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sdap"
 	"repro/internal/tag"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/wsn"
@@ -100,14 +101,13 @@ func (d *Deployment) TraceTo(w io.Writer) func() error {
 	return j.Close
 }
 
-// TraceStats attaches a live, concurrency-safe counter sink and returns
-// its snapshot function: per-type and per-phase event counts plus round and
-// virtual-time high-water marks. Safe to call from another goroutine while
-// a run is in flight — this backs aggsim's -observe expvar endpoint.
-func (d *Deployment) TraceStats() func() map[string]int64 {
-	s := trace.NewStats()
-	d.env.SetSink(trace.Fan(d.env.Sink, s))
-	return s.Snapshot
+// TraceStats attaches a live counter sink writing into reg: per-type and
+// per-phase event counts plus round and virtual-time high-water marks
+// (the agg_trace_* series). reg may be rendered from another goroutine
+// while a run is in flight — this backs aggsim's -observe /metricsz, and
+// deployments sharing one registry share its counters.
+func (d *Deployment) TraceStats(reg *telemetry.Registry) {
+	d.env.SetSink(trace.Fan(d.env.Sink, trace.NewStats(reg)))
 }
 
 // NewDeployment places the network and wires the full substrate.

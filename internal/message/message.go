@@ -50,7 +50,7 @@ const (
 	KindReassemble                   // CH -> cluster: degraded-recovery subset announcement
 	KindSubShare                     // encrypted degraded-recovery polynomial share
 	KindSubAssembled                 // member's degraded-recovery column sum
-	KindTakeover                     // deputy -> cluster: head-silence takeover claim
+	KindTakeover                     // deputy -> cluster: head-silence claim; head -> deputy: rebuttal
 	kindEnd
 )
 

@@ -89,22 +89,7 @@ func (p *Protocol) preSolveClusters() {
 		if p.cfg.ActiveClusters != nil && !p.cfg.ActiveClusters[id] {
 			continue
 		}
-		if !viableCluster(st) {
-			continue
-		}
-		m := len(st.roster.Entries)
-		full := message.FullMask(m)
-		if st.fSeenMask&full != full {
-			continue
-		}
-		complete := true
-		for j := 0; j < m; j++ {
-			if a := st.fSeen[j]; a.Mask != full || len(a.Fs) != c {
-				complete = false
-				break
-			}
-		}
-		if !complete {
+		if !viableCluster(st) || !st.first.complete() {
 			continue
 		}
 		heads = append(heads, id)
@@ -164,7 +149,7 @@ func (p *Protocol) batchSolveGroup(g *solveGroup) {
 	for gidx, id := range g.heads {
 		st := &p.nodes[id]
 		for row := 0; row < m; row++ {
-			copy(g.rhs[row*cols+gidx*c:row*cols+(gidx+1)*c], st.fSeen[row].Fs)
+			copy(g.rhs[row*cols+gidx*c:row*cols+(gidx+1)*c], st.first.reports[row].Fs)
 		}
 	}
 	if err := g.alg.BatchSolver().SolveInto(g.sums, g.rhs, cols); err != nil {
@@ -232,45 +217,39 @@ func (p *Protocol) announceTarget(id topo.NodeID) (to topo.NodeID, directHead bo
 
 // clusterContribution solves the head's own cluster, honouring the
 // undersized policy and the localization active-set, and returns the
-// effective participant mask the sums cover (zero for plain or failed
-// clusters). A nil sums vector means the cluster contributes nothing this
-// round.
-func (p *Protocol) clusterContribution(id topo.NodeID) ([]field.Element, uint32, uint64) {
+// exchange the sums cover (nil for plain or failed clusters). A nil sums
+// vector means the cluster contributes nothing this round.
+func (p *Protocol) clusterContribution(id topo.NodeID) ([]field.Element, uint32, *exchange) {
 	st := &p.nodes[id]
 	if p.cfg.ActiveClusters != nil && !p.cfg.ActiveClusters[id] {
-		return nil, 0, 0
+		return nil, 0, nil
 	}
 	if viableCluster(st) {
 		if st.solved {
 			// Solved in the announce-phase batch barrier: by construction a
 			// complete full-mask solve, so neither resilience counter moves.
-			st.effMask = message.FullMask(len(st.roster.Entries))
-			return st.solvedSums, uint32(len(st.roster.Entries)), st.effMask
+			return st.solvedSums, uint32(len(st.roster.Entries)), &st.first
 		}
-		sums, cnt, effMask, ok := p.solveCluster(st)
-		if !ok {
+		sums, x := p.solveCluster(st)
+		if x == nil {
 			p.failedClusters++
-			return nil, 0, 0 // incomplete exchange: cluster fails the round
+			return nil, 0, nil // incomplete exchange: cluster fails the round
 		}
-		st.effMask = effMask
-		if effMask != message.FullMask(len(st.roster.Entries)) {
+		if x == &st.sub {
 			p.degradedClusters++
 		}
-		return sums, cnt, effMask
+		return sums, uint32(bits.OnesCount64(x.mask)), x
 	}
 	if p.cfg.Undersized == UndersizedPlain {
 		// Head's own reading plus whatever members reported plainly.
 		sums := make([]field.Element, p.nComponents())
-		reading := p.readingVector(id)
-		for k := range sums {
-			sums[k] = reading[k]
-			if k < len(st.plainSums) {
-				sums[k] = sums[k].Add(st.plainSums[k])
-			}
+		p.readingVectorInto(sums, id)
+		for k := range st.plainSums {
+			sums[k] = sums[k].Add(st.plainSums[k])
 		}
-		return sums, st.plainCnt + 1, 0
+		return sums, st.plainCnt + 1, nil
 	}
-	return nil, 0, 0
+	return nil, 0, nil
 }
 
 // announce transmits the head's Announce toward the base station (ARQ
@@ -286,7 +265,7 @@ func (p *Protocol) announce(id topo.NodeID) {
 		return // never reached by the flood
 	}
 	c := p.nComponents()
-	sums, cnt, effMask := p.clusterContribution(id)
+	sums, cnt, x := p.clusterContribution(id)
 	a := message.Announce{
 		Origin:      id,
 		ClusterSums: sums,
@@ -294,17 +273,16 @@ func (p *Protocol) announce(id topo.NodeID) {
 		Components:  uint8(c),
 		Children:    append([]message.ChildEntry(nil), st.children...),
 	}
-	// The announce carries the effective participant set: the full roster
-	// mask after a complete exchange, the strict subset M after degraded
-	// recovery, zero for plain or failed clusters. Witnesses re-solve
-	// against exactly this set.
-	if cnt > 0 && viableCluster(st) {
-		a.Mask = effMask
-	}
-	// Echo the solved F matrix — rows in ascending mask-bit order — so
-	// members can witness the cluster sums (skipped under NoWitness).
-	if cnt > 0 && viableCluster(st) && !p.cfg.NoWitness {
-		a.FMatrix = p.announceFMatrix(st, effMask)
+	// The announce carries the solved exchange's participant set: the full
+	// roster mask after a complete exchange, the strict subset M after
+	// degraded recovery, zero for plain or failed clusters. Witnesses
+	// re-solve against exactly this set, over the echoed F matrix (skipped
+	// under NoWitness).
+	if x != nil {
+		a.Mask = x.mask
+		if !p.cfg.NoWitness {
+			a.FMatrix = p.announceFMatrix(x)
+		}
 	}
 	// Pollution attack: tamper with the outgoing aggregate (component 0).
 	if id == p.cfg.Polluter && p.round >= p.cfg.PolluteFromRound &&
@@ -341,25 +319,16 @@ func (p *Protocol) announce(id topo.NodeID) {
 	p.env.MAC.Send(message.Build(message.KindAnnounce, id, target, p.round, payload))
 }
 
-// announceFMatrix builds the echoed F matrix for an announce — one row per
-// effective participant, ascending mask-bit order — from the full-exchange
-// reports or, for a strict subset, the sub-exchange reports. Shared by the
-// head's announce and the deputy's takeover announce.
-func (p *Protocol) announceFMatrix(st *nodeState, effMask uint64) []field.Element {
-	m := len(st.roster.Entries)
-	full := message.FullMask(m)
+// announceFMatrix builds the echoed F matrix for an announce from the
+// solved exchange's reports — one row per participant, ascending mask-bit
+// order. Shared by the head's announce and the deputy's takeover announce.
+func (p *Protocol) announceFMatrix(x *exchange) []field.Element {
 	c := p.nComponents()
-	rows := bits.OnesCount64(effMask)
-	fm := make([]field.Element, 0, rows*c)
-	for i := 0; i < m; i++ {
-		if effMask&(uint64(1)<<uint(i)) == 0 {
-			continue
+	fm := make([]field.Element, 0, bits.OnesCount64(x.mask)*c)
+	for i := range x.reports {
+		if x.mask&(uint64(1)<<uint(i)) != 0 {
+			fm = append(fm, x.reports[i].Fs[:c]...)
 		}
-		src := st.fSeen[i]
-		if effMask != full {
-			src = st.fSub[i]
-		}
-		fm = append(fm, src.Fs[:c]...)
 	}
 	return fm
 }
@@ -570,13 +539,11 @@ func (p *Protocol) ownRowForged(st *nodeState, a message.Announce, full uint64) 
 	// commitment is a row this member genuinely sent for this set, so
 	// either vouches for the echo.
 	var candidates []message.Assembled
-	if a.Mask == full {
-		if o, ok := st.fSeenAt(st.myIdx); ok {
-			candidates = append(candidates, o)
-		}
+	if a.Mask == full && st.first.sent.Fs != nil {
+		candidates = append(candidates, st.first.sent)
 	}
-	if st.subSent != nil && st.subSent.Mask == a.Mask {
-		candidates = append(candidates, *st.subSent)
+	if st.sub.sent.Fs != nil && st.sub.sent.Mask == a.Mask {
+		candidates = append(candidates, st.sub.sent)
 	}
 	if len(candidates) == 0 {
 		if a.Mask != full {

@@ -318,8 +318,8 @@ func TestPropertyNoDistortionOnIdealChannel(t *testing.T) {
 			if !viableCluster(st) || st.head < 0 {
 				continue
 			}
-			_, _, effMask, ok := p.solveCluster(&p.nodes[st.head])
-			if !ok || effMask&(uint64(1)<<uint(st.myIdx)) == 0 {
+			_, x := p.solveCluster(&p.nodes[st.head])
+			if x == nil || x.mask&(uint64(1)<<uint(st.myIdx)) == 0 {
 				continue
 			}
 			if !p.rootedAtBS(st.head) {
@@ -367,8 +367,8 @@ func TestBigClusterRoundRegression(t *testing.T) {
 	if part := r.ParticipationRate(); part < 0.95 {
 		t.Errorf("participation %.3f; big clusters should not lose members", part)
 	}
-	if st := &p.nodes[bigHead]; st.effMask != message.FullMask(maxM) {
-		t.Errorf("big cluster solved mask %#x, want full %#x", st.effMask, message.FullMask(maxM))
+	if a := p.nodes[bigHead].myAnnounce; a == nil || a.Mask != message.FullMask(maxM) {
+		t.Errorf("big cluster announce %+v, want solved over the full mask %#x", a, message.FullMask(maxM))
 	}
 }
 

@@ -25,17 +25,16 @@ func TestDebugClusterDiagnostics(t *testing.T) {
 		}
 		viable++
 		memberTotal += len(st.roster.Entries)
-		if _, _, _, ok := p.solveCluster(st); ok {
+		if _, x := p.solveCluster(st); x != nil {
 			solved++
 		} else {
 			m := len(st.roster.Entries)
 			full := message.FullMask(m)
 			missing, badMask := 0, 0
 			for i := 0; i < m; i++ {
-				a, ok := st.fSeenAt(i)
-				if !ok {
+				if st.first.repMask&(uint64(1)<<uint(i)) == 0 {
 					missing++
-				} else if a.Mask != full {
+				} else if st.first.reports[i].Mask != full {
 					badMask++
 				}
 			}

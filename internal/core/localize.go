@@ -29,31 +29,7 @@ func (p *Protocol) RunRetaining(round uint16) (metrics.RoundResult, error) {
 	repair := p.pendingRepair()
 	for i := range p.nodes {
 		st := &p.nodes[i]
-		st.recvMask = 0
-		for j := range st.recvShares {
-			st.recvShares[j] = nil
-		}
-		st.fSeenMask = 0
-		st.solved = false
-		st.solvedSums = nil
-		st.subMask, st.subRecvMask = 0, 0
-		st.subShares = nil
-		st.subSent = nil
-		st.fSub = nil
-		st.effMask = 0
-		st.plainSums, st.plainCnt = nil, 0
-		st.children = st.children[:0]
-		st.myAnnounce = nil
-		st.sentTo = -1
-		if st.alarmed != nil {
-			clear(st.alarmed)
-		}
-		st.headAnnounced = false
-		st.headContributed = false
-		st.takeoverBy = -1
-		st.deputyClaimed = false
-		st.tookOver = false
-		st.repairJoiners = nil
+		st.roundState = st.next()
 		if !repair {
 			st.headSilent = false // nothing will consume the flag; drop it
 		}

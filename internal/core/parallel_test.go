@@ -11,7 +11,7 @@ import (
 
 // roundSnapshot captures everything a round computed that the parallelism
 // knob could conceivably perturb: the base-station answer, every node's
-// cluster view, and every head's solved sum and effective mask.
+// cluster view, and every announcer's solved sum and participant mask.
 type roundSnapshot struct {
 	sums    []field.Element
 	count   uint32
@@ -37,7 +37,11 @@ func snapshot(p *Protocol) roundSnapshot {
 		st := &p.nodes[i]
 		s.roles = append(s.roles, st.role)
 		s.heads = append(s.heads, st.head)
-		s.masks = append(s.masks, st.effMask)
+		var mask uint64
+		if st.myAnnounce != nil {
+			mask = st.myAnnounce.Mask
+		}
+		s.masks = append(s.masks, mask)
 		s.sentTo = append(s.sentTo, st.sentTo)
 		s.deputy = append(s.deputy, st.deputy)
 	}

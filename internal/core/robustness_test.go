@@ -59,7 +59,7 @@ func TestShareFromNonMemberIgnored(t *testing.T) {
 	if outsider < 0 {
 		t.Skip("no outsider")
 	}
-	maskBefore := st.recvMask
+	maskBefore := st.first.recvMask
 	pt, err := message.MarshalValues([]field.Element{42})
 	if err != nil {
 		t.Fatal(err)
@@ -68,8 +68,8 @@ func TestShareFromNonMemberIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.onShare(head, message.Build(message.KindShare, outsider, head, 1, sealed))
-	if st.recvMask != maskBefore {
+	p.onShare(head, message.Build(message.KindShare, outsider, head, 1, sealed), &st.first)
+	if st.first.recvMask != maskBefore {
 		t.Error("share from a non-member was accepted")
 	}
 }
@@ -152,12 +152,12 @@ func TestDuplicateShareIgnored(t *testing.T) {
 	}
 	// Replay an already-recorded sender index with a different value.
 	idx := (st.myIdx + 1) % len(st.roster.Entries)
-	if st.recvMask&(1<<uint(idx)) == 0 {
+	if st.first.recvMask&(1<<uint(idx)) == 0 {
 		t.Skip("share slot empty")
 	}
-	before := append([]field.Element(nil), st.recvShares[idx]...)
-	p.acceptShare(head, idx, []field.Element{999})
-	if len(st.recvShares[idx]) != len(before) || st.recvShares[idx][0] != before[0] {
+	before := append([]field.Element(nil), st.first.shares[idx]...)
+	st.first.accept(idx, []field.Element{999})
+	if len(st.first.shares[idx]) != len(before) || st.first.shares[idx][0] != before[0] {
 		t.Error("duplicate share overwrote the original")
 	}
 }

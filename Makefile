@@ -23,7 +23,7 @@ test:
 race:
 	$(GO) test -race ./internal/sim/ ./internal/experiment/ ./internal/station/ ./internal/fleet/ \
 		./internal/telemetry/ ./internal/trace/ ./internal/chaos/ ./internal/attack/ ./internal/mac/ ./internal/radio/ \
-		./cmd/aggsim/ ./cmd/aggtrace/
+		./cmd/aggsim/ ./cmd/aggtrace/ ./cmd/aggload/
 	$(GO) test -race -run 'Deputy|Takeover|HeadCrash|Churn|CrashRecover|Failover' ./internal/core/
 
 ## f17-smoke: quick pass over the degraded-recovery ablation — fails if the

@@ -83,10 +83,11 @@ func TestLoadOutFlagWritesFile(t *testing.T) {
 }
 
 // TestLoadUnreachableServerIsRuntimeError: a dead server is exit 1
-// territory (requests errored), not a usage error.
+// territory (requests errored), not a usage error. One request suffices:
+// it rides out the full transport-retry backoff before giving up.
 func TestLoadUnreachableServerIsRuntimeError(t *testing.T) {
 	var stdout bytes.Buffer
-	_, err := run([]string{"-addr", "http://127.0.0.1:1", "-c", "1", "-n", "2", "-timeout", "2s"}, &stdout)
+	_, err := run([]string{"-addr", "http://127.0.0.1:1", "-c", "1", "-n", "1", "-timeout", "2s"}, &stdout)
 	if err == nil {
 		t.Fatal("unreachable server reported success")
 	}

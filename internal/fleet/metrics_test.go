@@ -34,7 +34,7 @@ func TestProxyHedgesSlowTarget(t *testing.T) {
 	}))
 	defer slowFirst.Close()
 
-	p, err := NewProxy([]string{slowFirst.URL}, time.Minute)
+	p, err := NewProxyWith([]string{slowFirst.URL}, ProxyOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestProxyHedgesSlowTarget(t *testing.T) {
 // failure mode a cumulative p99 has (hedging every GET against a target
 // that turned slow) and the one the old 64-sample ring never did.
 func TestHedgeDelayTracksRegimeChange(t *testing.T) {
-	p, err := NewProxy([]string{"http://127.0.0.1:1"}, time.Minute)
+	p, err := NewProxyWith([]string{"http://127.0.0.1:1"}, ProxyOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,22 +68,23 @@ type ProxyOptions struct {
 	// target's breaker (default 3).
 	BreakerThreshold int
 	// BreakerCooldown is the first open→half-open delay; each re-open
-	// doubles it up to MaxCooldown (defaults 500ms, 8s).
+	// doubles it up to maxCooldown (default 500ms).
 	BreakerCooldown time.Duration
-	MaxCooldown     time.Duration
 	// ProbeTimeout bounds each concurrent /healthz probe (default 500ms)
 	// so one hung shard cannot stall the proxy's own liveness answer.
 	ProbeTimeout time.Duration
-	// HedgeDelay is the wait before hedging an idempotent GET: 0 derives
-	// it from the target's observed p99 latency (no hedging until enough
-	// samples), negative disables hedging.
-	HedgeDelay time.Duration
-	// RetryMax is the extra attempts for idempotent GETs that fail at the
-	// transport level (default 2); RetryBackoff the first retry delay,
-	// doubling per attempt (default 25ms).
-	RetryMax     int
-	RetryBackoff time.Duration
 }
+
+const (
+	// maxCooldown caps both the breaker's doubling cooldown and the GET
+	// retry backoff; a 503's Retry-After beyond it gives the retry up.
+	maxCooldown = 8 * time.Second
+	// retryMax is the extra attempts for idempotent GETs that fail at the
+	// transport level; retryBackoff the first retry delay, doubling per
+	// attempt.
+	retryMax     = 2
+	retryBackoff = 25 * time.Millisecond
+)
 
 func (o ProxyOptions) withDefaults() ProxyOptions {
 	if o.Timeout <= 0 {
@@ -95,29 +96,14 @@ func (o ProxyOptions) withDefaults() ProxyOptions {
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 500 * time.Millisecond
 	}
-	if o.MaxCooldown <= 0 {
-		o.MaxCooldown = 8 * time.Second
-	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 500 * time.Millisecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 25 * time.Millisecond
 	}
 	return o
 }
 
-// NewProxy validates the shard URLs and builds the ring over them with
-// default options — the signature cmd/aggd has always used.
-func NewProxy(targets []string, timeout time.Duration) (*Proxy, error) {
-	return NewProxyWith(targets, ProxyOptions{Timeout: timeout})
-}
-
-// NewProxyWith is NewProxy with full tuning (breaker, hedging, retries,
-// chaos transport).
+// NewProxyWith validates the shard URLs and builds the ring over them,
+// tuned by opts (timeouts, breaker, chaos transport, trace sink).
 func NewProxyWith(targets []string, opts ProxyOptions) (*Proxy, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("fleet: proxy needs at least one shard URL")
@@ -144,7 +130,6 @@ func NewProxyWith(targets []string, opts ProxyOptions) (*Proxy, error) {
 		p.breakers[i] = &breaker{
 			threshold: opts.BreakerThreshold,
 			cooldown:  opts.BreakerCooldown,
-			maxCool:   opts.MaxCooldown,
 		}
 	}
 	p.metrics = p.newMetrics()
@@ -553,7 +538,7 @@ func (p *Proxy) emitForward(rid string, idx int, took time.Duration, err error) 
 // retried on transport failure with capped backoff, honoring Retry-After
 // on 503s when a retry remains.
 func (p *Proxy) get(idx int, rid, path string) (*shardResponse, error) {
-	backoff := p.opts.RetryBackoff
+	backoff := retryBackoff
 	var resp *shardResponse
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -561,7 +546,7 @@ func (p *Proxy) get(idx int, rid, path string) (*shardResponse, error) {
 		if err == nil && resp.status != http.StatusServiceUnavailable {
 			return resp, nil
 		}
-		if attempt >= p.opts.RetryMax || errors.Is(err, errBreakerOpen) {
+		if attempt >= retryMax || errors.Is(err, errBreakerOpen) {
 			return resp, err
 		}
 		wait := backoff
@@ -569,7 +554,7 @@ func (p *Proxy) get(idx int, rid, path string) (*shardResponse, error) {
 			// 503: the shard answered but refused; honor its Retry-After
 			// if it fits under the backoff cap, else give up the retry.
 			ra := retryAfterOf(resp.header)
-			if ra <= 0 || ra > p.opts.MaxCooldown {
+			if ra <= 0 || ra > maxCooldown {
 				return resp, nil
 			}
 			wait = ra
@@ -578,7 +563,7 @@ func (p *Proxy) get(idx int, rid, path string) (*shardResponse, error) {
 			p.metrics.retryXpt[idx].Inc()
 		}
 		time.Sleep(wait)
-		backoff = min(backoff*2, p.opts.MaxCooldown)
+		backoff = min(backoff*2, maxCooldown)
 	}
 }
 
@@ -634,17 +619,13 @@ func (p *Proxy) getHedged(idx int, rid, path string) (*shardResponse, error) {
 	return first.resp, first.err
 }
 
-// hedgeDelay resolves the hedge wait for a target: the fixed option when
-// set, the p99 of the target's rolling latency window once enough samples
-// exist, otherwise no hedging. The window — not the cumulative /metricsz
+// hedgeDelay resolves the hedge wait for a target: the p99 of the target's
+// rolling latency window once enough samples exist, otherwise no hedging. The window — not the cumulative /metricsz
 // histogram — is deliberate: a control decision must track the current
 // latency regime, and after long uptime a suddenly slow target would need
 // its slow samples to outvote the entire fast history before a cumulative
 // p99 moved, hedging every GET against it in the meantime.
 func (p *Proxy) hedgeDelay(idx int) time.Duration {
-	if p.opts.HedgeDelay != 0 {
-		return p.opts.HedgeDelay // negative disables
-	}
 	h := p.metrics.latWin[idx]
 	if h.Count() < hedgeMinSamples {
 		return 0
@@ -710,7 +691,6 @@ type breaker struct {
 	cooldown  time.Duration
 	probing   bool
 	threshold int
-	maxCool   time.Duration
 	baseCool  time.Duration
 }
 
@@ -784,7 +764,7 @@ func (b *breaker) report(success, probe bool) (string, bool) {
 		b.state = trace.BreakerOpen
 		if probe {
 			b.openedAt = time.Now()
-			b.cooldown = min(b.cooldown*2, b.maxCool)
+			b.cooldown = min(b.cooldown*2, maxCooldown)
 			changed = true
 		}
 		return trace.BreakerOpen, changed

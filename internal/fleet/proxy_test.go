@@ -49,7 +49,7 @@ func newProxyRig(t *testing.T) *proxyRig {
 			_ = st.Drain(ctx)
 		}
 	})
-	p, err := NewProxy(targets, time.Minute)
+	p, err := NewProxyWith(targets, ProxyOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestProxyShedsPast503(t *testing.T) {
 	healthy := httptest.NewServer(station.NewAPI(st).Handler())
 	defer healthy.Close()
 
-	p, err := NewProxy([]string{refusing.URL, healthy.URL}, time.Minute)
+	p, err := NewProxyWith([]string{refusing.URL, healthy.URL}, ProxyOptions{Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +272,8 @@ func TestProxyRejectsBadTargets(t *testing.T) {
 		{"ftp://x"},
 		{"http://"},
 	} {
-		if _, err := NewProxy(bad, 0); err == nil {
-			t.Errorf("NewProxy(%v) accepted invalid targets", bad)
+		if _, err := NewProxyWith(bad, ProxyOptions{}); err == nil {
+			t.Errorf("NewProxyWith(%v) accepted invalid targets", bad)
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 // in-process station's existence and drain state. Passive signal: request
 // paths that observed the shard down since the last tick (slot.passive).
 // Down slots leave the routing rotation immediately (slot.serving());
-// restarting slots stay out until ReadmitAfter consecutive healthy probes
+// restarting slots stay out until readmitAfter consecutive healthy probes
 // pass — probation keeps a flapping shard from thrashing the ring.
 
 // SupervisorConfig tunes the shard supervisor. Zero values take the
@@ -33,47 +33,35 @@ import (
 type SupervisorConfig struct {
 	// ProbeInterval is the supervisor tick (default 100ms).
 	ProbeInterval time.Duration
-	// SuspectAfter is the consecutive probe failures that demote a healthy
-	// shard to suspect (default 1 — first failure draws suspicion).
-	SuspectAfter int
-	// DownAfter is the consecutive probe failures that evict the shard
-	// from the rotation (default 2).
-	DownAfter int
 	// RestartBackoff is the delay before the first restart attempt; each
 	// failed attempt doubles it up to MaxBackoff (defaults 100ms, 2s).
 	RestartBackoff time.Duration
 	MaxBackoff     time.Duration
-	// ReadmitAfter is the consecutive healthy probes a restarting shard
-	// must pass before rejoining the rotation (default 2).
-	ReadmitAfter int
-	// PassiveFailures is how many request-path failures within one tick
-	// count as a failed probe even if the active probe passed (default 1).
-	PassiveFailures int64
-	// Seed drives restart jitter (deterministic, like everything else).
-	Seed int64
 }
+
+// The state machine's thresholds, in consecutive supervisor ticks.
+const (
+	// suspectAfter probe failures demote a healthy shard to suspect: the
+	// first failure draws suspicion.
+	suspectAfter = 1
+	// downAfter probe failures evict the shard from the rotation.
+	downAfter = 2
+	// readmitAfter healthy probes re-admit a restarting shard.
+	readmitAfter = 2
+	// passiveFailures request-path failures within one tick count as a
+	// failed probe even if the active probe passed.
+	passiveFailures = 1
+)
 
 func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 100 * time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 2
 	}
 	if c.RestartBackoff <= 0 {
 		c.RestartBackoff = 100 * time.Millisecond
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 2 * time.Second
-	}
-	if c.ReadmitAfter <= 0 {
-		c.ReadmitAfter = 2
-	}
-	if c.PassiveFailures <= 0 {
-		c.PassiveFailures = 1
 	}
 	return c
 }
@@ -145,7 +133,7 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 	st := sl.st.Load()
 	ok := !crashed && st != nil && !st.Draining()
 	passive := sl.passive.Swap(0)
-	if ok && passive >= cfg.PassiveFailures {
+	if ok && passive >= passiveFailures {
 		ok = false
 	}
 
@@ -161,12 +149,12 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 		}
 		b.failStreak++
 		switch {
-		case b.failStreak >= cfg.DownAfter:
+		case b.failStreak >= downAfter:
 			b.backoff = cfg.RestartBackoff
-			b.nextRestart = time.Now().Add(b.backoff + f.jitter(cfg, b))
+			b.nextRestart = time.Now().Add(b.backoff + b.jitter())
 			f.transition(sl, trace.ShardDown,
 				fmt.Sprintf("failures=%d passive=%d", b.failStreak, passive))
-		case b.failStreak >= cfg.SuspectAfter && state == trace.ShardHealthy:
+		case b.failStreak >= suspectAfter && state == trace.ShardHealthy:
 			f.transition(sl, trace.ShardSuspect,
 				fmt.Sprintf("failures=%d passive=%d", b.failStreak, passive))
 		}
@@ -180,7 +168,7 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 			// The fault still holds the shard; count the attempt and back
 			// off further — exactly what a failed process respawn costs.
 			b.backoff = min(b.backoff*2, cfg.MaxBackoff)
-			b.nextRestart = time.Now().Add(b.backoff + f.jitter(cfg, b))
+			b.nextRestart = time.Now().Add(b.backoff + b.jitter())
 			f.emit(sl.id, trace.TypeShard, trace.ShardDown,
 				fmt.Sprintf("restart attempt %d failed; backoff %v", b.attempts, b.backoff))
 			return
@@ -189,7 +177,7 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 			st, err := station.New(f.shardConfig(sl.id))
 			if err != nil {
 				b.backoff = min(b.backoff*2, cfg.MaxBackoff)
-				b.nextRestart = time.Now().Add(b.backoff + f.jitter(cfg, b))
+				b.nextRestart = time.Now().Add(b.backoff + b.jitter())
 				f.emit(sl.id, trace.TypeShard, trace.ShardDown,
 					fmt.Sprintf("rebuild failed: %v; backoff %v", err, b.backoff))
 				return
@@ -200,18 +188,18 @@ func (f *Fleet) superviseSlot(cfg SupervisorConfig, sl *slot, b *supSlot) {
 		f.restarts.Add(1)
 		b.healthyStreak = 0
 		f.transition(sl, trace.ShardRestarting,
-			fmt.Sprintf("attempt %d; probation %d probes", b.attempts, cfg.ReadmitAfter))
+			fmt.Sprintf("attempt %d; probation %d probes", b.attempts, readmitAfter))
 
 	case trace.ShardRestarting:
 		if !ok {
 			b.backoff = min(b.backoff*2, cfg.MaxBackoff)
-			b.nextRestart = time.Now().Add(b.backoff + f.jitter(cfg, b))
+			b.nextRestart = time.Now().Add(b.backoff + b.jitter())
 			f.transition(sl, trace.ShardDown,
 				fmt.Sprintf("probation probe failed; backoff %v", b.backoff))
 			return
 		}
 		b.healthyStreak++
-		if b.healthyStreak >= cfg.ReadmitAfter {
+		if b.healthyStreak >= readmitAfter {
 			b.failStreak = 0
 			b.backoff = 0
 			f.transition(sl, trace.ShardHealthy,
@@ -227,13 +215,13 @@ func (f *Fleet) transition(sl *slot, state, detail string) {
 }
 
 // jitter derives a deterministic restart jitter in [0, backoff/2) from
-// the supervisor seed, the shard, and the attempt counter — seeded like
-// the chaos controller's draws, so runs replay exactly.
-func (f *Fleet) jitter(cfg SupervisorConfig, b *supSlot) time.Duration {
+// the attempt counter — hashed like the chaos controller's draws, so runs
+// replay exactly.
+func (b *supSlot) jitter() time.Duration {
 	if b.backoff <= 1 {
 		return 0
 	}
-	x := uint64(cfg.Seed) ^ uint64(b.attempts)*0x9e3779b97f4a7c15
+	x := uint64(b.attempts) * 0x9e3779b97f4a7c15
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -33,7 +33,6 @@ type LoadConfig struct {
 	Duration    time.Duration
 	Kinds       []repro.QueryKind // cycled per request; default: all seven
 	Timeout     time.Duration     // per-attempt HTTP timeout (default 30s)
-	MaxRetries  int               // 503/transport retries per request (default 16)
 
 	// VerifyAnswers, when non-nil, maps kind name → the offline reference
 	// answer; every served answer is compared against it and a mismatch
@@ -136,9 +135,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 16
 	}
 	if cfg.Duration > 0 {
 		var cancel context.CancelFunc
@@ -245,10 +241,14 @@ type transportError struct{ err error }
 func (e *transportError) Error() string { return e.err.Error() }
 func (e *transportError) Unwrap() error { return e.err }
 
-// transportBackoff caps the dial-retry backoff; it starts at a tenth and
-// doubles per attempt, so a shard restart measured in hundreds of ms is
-// ridden out in a handful of retries.
-const transportBackoff = 500 * time.Millisecond
+// transportBackoff caps the dial-retry backoff; it starts at a sixteenth
+// and doubles per attempt, so a shard restart measured in hundreds of ms is
+// ridden out in a handful of retries. maxRetries bounds the 503 and
+// transport retries of one request.
+const (
+	transportBackoff = 500 * time.Millisecond
+	maxRetries       = 16
+)
 
 // loadOne issues one sync query, honoring 503 backpressure with the
 // server's retry_after_ms hint and retrying transport-level failures
@@ -264,7 +264,7 @@ func loadOne(ctx context.Context, client *http.Client, cfg LoadConfig, kind repr
 		lat, backoff, err := loadAttempt(ctx, client, cfg, kind, body)
 		var te *transportError
 		if errors.As(err, &te) {
-			if attempt >= cfg.MaxRetries {
+			if attempt >= maxRetries {
 				return 0, retries, transport, fmt.Errorf("load: transport failure persisted past %d retries: %w", attempt, te.err)
 			}
 			transport++
@@ -279,7 +279,7 @@ func loadOne(ctx context.Context, client *http.Client, cfg LoadConfig, kind repr
 		if backoff <= 0 {
 			return lat, retries, transport, err
 		}
-		if attempt >= cfg.MaxRetries {
+		if attempt >= maxRetries {
 			return 0, retries, transport, fmt.Errorf("load: gave up after %d backpressure retries", attempt)
 		}
 		retries++

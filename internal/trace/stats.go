@@ -54,8 +54,8 @@ func NewStats(reg *telemetry.Registry) *Stats {
 	return s
 }
 
-// Emit counts the event. A type or phase outside the known set (the
-// legacy Record shim's free-form categories) gets its series on first use.
+// Emit counts the event. A type or phase outside the known set gets its
+// series on first use.
 func (s *Stats) Emit(ev Event) {
 	c := s.byType[ev.Type]
 	if c == nil {

@@ -196,16 +196,6 @@ func (t *Tracer) Emit(ev Event) {
 	t.total++
 }
 
-// Record is the legacy formatted-event shim: category maps to the event
-// type, the formatted text to Detail. Nil tracers are valid no-ops.
-func (t *Tracer) Record(at time.Duration, node topo.NodeID, category, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{At: at, Node: node, Cluster: NoCluster, Type: category,
-		Detail: fmt.Sprintf(format, args...)})
-}
-
 // Len returns the number of retained events.
 func (t *Tracer) Len() int {
 	if t == nil {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -13,8 +14,7 @@ import (
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	tr.Record(time.Second, 1, "x", "y") // must not panic
-	tr.Emit(Event{Type: "x"})
+	tr.Emit(Event{Type: "x"}) // must not panic
 	if tr.Len() != 0 || tr.Total() != 0 {
 		t.Error("nil tracer should report zero")
 	}
@@ -31,8 +31,8 @@ func TestNilTracerIsNoOp(t *testing.T) {
 
 func TestRecordAndEvents(t *testing.T) {
 	tr := New(10)
-	tr.Record(time.Second, 3, "election", "became head pc=%.2f", 0.25)
-	tr.Record(2*time.Second, 4, "join", "joined %d", 3)
+	tr.Emit(Event{At: time.Second, Node: 3, Cluster: NoCluster, Type: "election", Detail: "became head pc=0.25"})
+	tr.Emit(Event{At: 2 * time.Second, Node: 4, Cluster: NoCluster, Type: "join", Detail: "joined 3"})
 	if tr.Len() != 2 || tr.Total() != 2 {
 		t.Fatalf("len=%d total=%d", tr.Len(), tr.Total())
 	}
@@ -40,11 +40,8 @@ func TestRecordAndEvents(t *testing.T) {
 	if evs[0].Type != "election" || evs[1].Node != 4 {
 		t.Errorf("events = %+v", evs)
 	}
-	if evs[0].Cluster != NoCluster {
-		t.Errorf("legacy Record should leave the event unscoped, got cluster %d", evs[0].Cluster)
-	}
-	if !strings.Contains(evs[0].Detail, "0.25") {
-		t.Errorf("formatting lost: %q", evs[0].Detail)
+	if evs[0].Cluster != NoCluster || evs[0].Detail != "became head pc=0.25" {
+		t.Errorf("event fields not retained: %+v", evs[0])
 	}
 	if !strings.Contains(evs[0].String(), "election") {
 		t.Errorf("String = %q", evs[0].String())
@@ -65,7 +62,7 @@ func TestEventStringCarriesCauseAndCluster(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	tr := New(3)
 	for i := 0; i < 5; i++ {
-		tr.Record(time.Duration(i)*time.Second, 1, "c", "%d", i)
+		tr.Emit(Event{At: time.Duration(i) * time.Second, Node: 1, Type: "c", Detail: strconv.Itoa(i)})
 	}
 	if tr.Len() != 3 || tr.Total() != 5 {
 		t.Fatalf("len=%d total=%d", tr.Len(), tr.Total())
@@ -79,8 +76,8 @@ func TestRingEviction(t *testing.T) {
 
 func TestCapacityClamped(t *testing.T) {
 	tr := New(0)
-	tr.Record(0, 1, "a", "x")
-	tr.Record(0, 1, "a", "y")
+	tr.Emit(Event{Node: 1, Type: "a", Detail: "x"})
+	tr.Emit(Event{Node: 1, Type: "a", Detail: "y"})
 	if tr.Len() != 1 {
 		t.Errorf("len = %d", tr.Len())
 	}
@@ -88,9 +85,9 @@ func TestCapacityClamped(t *testing.T) {
 
 func TestDumpFilters(t *testing.T) {
 	tr := New(10)
-	tr.Record(0, 1, "election", "a")
-	tr.Record(0, 2, "join", "b")
-	tr.Record(0, 1, "join", "c")
+	tr.Emit(Event{Node: 1, Type: "election", Detail: "a"})
+	tr.Emit(Event{Node: 2, Type: "join", Detail: "b"})
+	tr.Emit(Event{Node: 1, Type: "join", Detail: "c"})
 
 	var all strings.Builder
 	if err := tr.Dump(&all, AllEvents()); err != nil {
@@ -119,8 +116,8 @@ func TestDumpFilters(t *testing.T) {
 
 func TestDumpMentionsEviction(t *testing.T) {
 	tr := New(1)
-	tr.Record(0, 1, "a", "x")
-	tr.Record(0, 1, "a", "y")
+	tr.Emit(Event{Node: 1, Type: "a", Detail: "x"})
+	tr.Emit(Event{Node: 1, Type: "a", Detail: "y"})
 	var b strings.Builder
 	if err := tr.Dump(&b, AllEvents()); err != nil {
 		t.Fatal(err)
@@ -132,9 +129,9 @@ func TestDumpMentionsEviction(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	tr := New(10)
-	tr.Record(0, 1, "a", "")
-	tr.Record(0, 1, "a", "")
-	tr.Record(0, 1, "b", "")
+	tr.Emit(Event{Node: 1, Type: "a"})
+	tr.Emit(Event{Node: 1, Type: "a"})
+	tr.Emit(Event{Node: 1, Type: "b"})
 	c := tr.Counts()
 	if c["a"] != 2 || c["b"] != 1 {
 		t.Errorf("counts = %v", c)
@@ -243,7 +240,7 @@ func TestStats(t *testing.T) {
 		s.Emit(Event{At: time.Duration(i), Round: uint16(i % 4), Phase: PhaseAnnounce, Type: TypeAlarm})
 	}
 	s.Emit(Event{Round: 9, Type: TypeCrash})
-	s.Emit(Event{Type: "custom"}) // a free-form Record category
+	s.Emit(Event{Type: "custom"}) // a free-form category
 	NewStats(reg).Emit(Event{At: 5, Round: 2, Phase: PhaseAnnounce, Type: TypeAlarm})
 	wg.Wait()
 

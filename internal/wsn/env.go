@@ -163,27 +163,7 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wsn: %w", err)
 	}
-	var keys wsncrypto.KeyScheme
-	switch cfg.KeyScheme {
-	case KeyPairwise:
-		keys = wsncrypto.NewPairwiseScheme([]byte(fmt.Sprintf("master-%d", cfg.Seed)))
-	case KeyEG:
-		keys, err = wsncrypto.NewEGScheme(rng, cfg.Nodes, cfg.EGPoolSize, cfg.EGRingSize)
-		if err != nil {
-			return nil, fmt.Errorf("wsn: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("wsn: unknown key scheme %d", cfg.KeyScheme)
-	}
-	readings := make([]int64, cfg.Nodes)
-	span := cfg.ReadingMax - cfg.ReadingMin
-	for i := 1; i < cfg.Nodes; i++ {
-		readings[i] = cfg.ReadingMin
-		if span > 0 {
-			readings[i] += rng.Int63n(span + 1)
-		}
-	}
-	return &Env{
+	e := &Env{
 		Cfg:      cfg,
 		Eng:      eng,
 		Net:      net,
@@ -191,10 +171,13 @@ func NewEnv(cfg Config) (*Env, error) {
 		Medium:   medium,
 		MAC:      layer,
 		Rng:      rng,
-		Keys:     keys,
-		Readings: readings,
+		Readings: make([]int64, cfg.Nodes),
 		sealers:  make(map[[2]topo.NodeID]*wsncrypto.Sealer),
-	}, nil
+	}
+	if err := e.drawKeysAndReadings(); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // Reset rewinds the environment to a freshly-built state under the given
@@ -210,18 +193,24 @@ func NewEnv(cfg Config) (*Env, error) {
 // tables were drawn from the original config seed and are retained.
 func (e *Env) Reset(seed int64) error {
 	e.Cfg.Seed = seed
-	// Replicate NewEnv's draw order exactly. The RNG is reseeded in place
-	// because the medium's fading source and the MAC hold the same
-	// *rand.Rand; the key scheme draws next (EG consumes the RNG, pairwise
-	// does not), the readings last.
+	// The RNG is reseeded in place because the medium's fading source and
+	// the MAC hold the same *rand.Rand. Building those draws nothing, so
+	// the key and readings draw that follows replays NewEnv's exactly.
 	e.Rng.Seed(seed ^ 0x5eed)
 	e.Eng.Reset()
 	e.Rec.Reset()
 	e.Medium.Reset()
 	e.MAC.Reset()
+	return e.drawKeysAndReadings()
+}
+
+// drawKeysAndReadings is the seeded tail of NewEnv and Reset: build the
+// key scheme (EG consumes the RNG, pairwise does not), empty the sealer
+// cache, then draw every sensor's reading.
+func (e *Env) drawKeysAndReadings() error {
 	switch e.Cfg.KeyScheme {
 	case KeyPairwise:
-		e.Keys = wsncrypto.NewPairwiseScheme([]byte(fmt.Sprintf("master-%d", seed)))
+		e.Keys = wsncrypto.NewPairwiseScheme([]byte(fmt.Sprintf("master-%d", e.Cfg.Seed)))
 	case KeyEG:
 		keys, err := wsncrypto.NewEGScheme(e.Rng, e.Cfg.Nodes, e.Cfg.EGPoolSize, e.Cfg.EGRingSize)
 		if err != nil {
@@ -232,14 +221,7 @@ func (e *Env) Reset(seed int64) error {
 		return fmt.Errorf("wsn: unknown key scheme %d", e.Cfg.KeyScheme)
 	}
 	clear(e.sealers)
-	e.Readings[0] = 0
-	span := e.Cfg.ReadingMax - e.Cfg.ReadingMin
-	for i := 1; i < e.Cfg.Nodes; i++ {
-		e.Readings[i] = e.Cfg.ReadingMin
-		if span > 0 {
-			e.Readings[i] += e.Rng.Int63n(span + 1)
-		}
-	}
+	e.ResampleReadings()
 	return nil
 }
 
